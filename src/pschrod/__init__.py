@@ -39,6 +39,7 @@ from .grid import (
     GridSpec,
     VectorField,
     annulus_integrate,
+    cell_gradient_matrix,
     gradient,
     integrate,
     load_grid_function,

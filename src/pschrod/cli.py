@@ -121,7 +121,8 @@ def _build_datum(block: dict, spec: GridSpec) -> GridFunction:
     if kind == "constant":
         return GridFunction(spec, np.full(spec.num_nodes, float(block.get("value", 0.0))))
     if kind == "gaussian":
-        return sample(spec, _gaussian_term(block, spec.n))
+        term = {key: val for key, val in block.items() if key != "kind"}
+        return sample(spec, _gaussian_term(term, spec.n))
     if kind == "sum":
         terms = [_gaussian_term(t, spec.n) for t in _require(block, "terms", "datum")]
 

@@ -7,6 +7,8 @@ array per axis.  Integrals are tensor-product trapezoid sums, so all
 quadrature weights are positive and one-sided inequality checks stay
 one-sided.  Annulus integrals mask whole nodes (no cell clipping); the
 induced O(h) geometric error is absorbed by report tolerances downstream.
+Cell-centred gradients, which the solver's energy and the energy-norm
+checks share, come from one sparse operator, :func:`cell_gradient_matrix`.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -15,12 +17,14 @@ threads.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "GridSpec",
@@ -28,6 +32,7 @@ __all__ = [
     "VectorField",
     "sample",
     "gradient",
+    "cell_gradient_matrix",
     "integrate",
     "annulus_integrate",
     "zero_boundary",
@@ -245,8 +250,10 @@ def sample(spec: GridSpec, field: Callable) -> GridFunction:
 
     ``field`` is called as ``field(x)``, ``field(x, y)`` or ``field(x, y, z)``.
     A vectorized call with full coordinate arrays is attempted first; plain
-    numpy expressions get the fast path, anything else falls back to a
-    per-node loop.
+    numpy expressions get the fast path.  A field that rejects arrays with
+    ``TypeError`` or ``ValueError``, or returns the wrong shape, is sampled
+    by a per-node loop instead, with a ``RuntimeWarning``; any other
+    exception propagates.
     """
     pts = spec.node_coords()
     cols = [np.ascontiguousarray(pts[:, a]) for a in range(spec.n)]
@@ -259,9 +266,15 @@ def sample(spec: GridSpec, field: Callable) -> GridFunction:
             vals = out
         elif out.shape == ():
             vals = np.full(spec.num_nodes, float(out))
-    except Exception:
+    except (TypeError, ValueError):
+        # what scalar-only code (math.*, ``if x > 0``) raises on arrays
         vals = None
     if vals is None:
+        warnings.warn(
+            f"field is not vectorized; sampling it node by node on {spec.num_nodes} nodes",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         vals = np.empty(spec.num_nodes)
         for i in range(spec.num_nodes):
             vals[i] = float(field(*pts[i]))
@@ -283,6 +296,34 @@ def gradient(u: GridFunction) -> VectorField:
     else:
         comps = list(np.gradient(arr, h, edge_order=1))
     return VectorField(u.spec, tuple(c.ravel() for c in comps))
+
+
+@lru_cache(maxsize=32)
+def cell_gradient_matrix(spec: GridSpec) -> sp.csr_matrix:
+    """Gradient of the multilinear interpolant at every cell centre.
+
+    A sparse ``(n * (m-1)**n, m**n)`` matrix G acting on nodal values.  Row
+    ``a * (m-1)**n + c`` is component ``a`` at cell ``c`` (cells row-major):
+    the forward difference along axis ``a`` averaged over the cell's
+    ``2**(n-1)`` edges parallel to that axis, i.e. the Kronecker product of
+    the 1-D difference matrix on axis ``a`` with 1-D averages on the others.
+    Exact for multilinear functions.  Cached per grid and shared: do not
+    mutate.
+    """
+    m = spec.m
+    diff = sp.diags([-1.0 / spec.h, 1.0 / spec.h], [0, 1], shape=(m - 1, m))
+    avg = sp.diags([0.5, 0.5], [0, 1], shape=(m - 1, m))
+    comps = [
+        reduce(
+            lambda a, b: sp.kron(a, b, format="csr"),
+            [diff if other == axis else avg for other in range(spec.n)],
+        )
+        for axis in range(spec.n)
+    ]
+    G = sp.vstack(comps, format="csr")
+    for arr in (G.data, G.indices, G.indptr):
+        arr.flags.writeable = False
+    return G
 
 
 def integrate(u: GridFunction) -> float:

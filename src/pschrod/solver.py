@@ -6,10 +6,11 @@ The discrete energy of a nodal function v (zero on the boundary) is
          + (1/p) sum_nodes w_i V_i |v_i|^p
          - sum_nodes w_i f_i v_i,
 
-where ``G_c`` is the forward-difference gradient evaluated at the cell
-center (the gradient of the multilinear interpolant) and ``w_i`` are the
-trapezoid node weights.  Each summand is convex and the zero-order term is
-strictly convex for p >= 2 and V >= 1, so J has a unique minimizer; the
+where ``G_c`` is the gradient of the multilinear interpolant at the
+center of cell c (the rows of :func:`~pschrod.grid.cell_gradient_matrix`)
+and ``w_i`` are the trapezoid node weights.  Each summand is convex and
+the zero-order term is strictly convex for p >= 2 and V >= 1, so J has a
+unique minimizer; the
 Euler-Lagrange residual returned by :func:`residual` is the exact gradient
 of J with respect to interior nodal values divided by the node weight.
 
@@ -24,7 +25,6 @@ residuals are residuals of the unregularized operator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .asymptotic import ExponentP
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, cell_gradient_matrix
 
 __all__ = [
     "Problem",
@@ -99,8 +99,8 @@ class Problem:
     p: ExponentP
     V: GridFunction
     f: GridFunction
-    eps_reg: float = None  # type: ignore[assignment]
-    tol_residual: float = None  # type: ignore[assignment]
+    eps_reg: float | None = None
+    tol_residual: float | None = None
     max_iters: int = 100
 
     def __post_init__(self):
@@ -153,76 +153,26 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# cell-centered gradient machinery
-
-
-def _avg(a: np.ndarray, axis: int) -> np.ndarray:
-    lo = [slice(None)] * a.ndim
-    hi = [slice(None)] * a.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (a[tuple(lo)] + a[tuple(hi)])
-
-
-def _cell_gradient(arr: np.ndarray, h: float) -> list[np.ndarray]:
-    """Per-axis gradient at cell centers, each component shaped (m-1,)*n."""
-    comps = []
-    for axis in range(arr.ndim):
-        d = np.diff(arr, axis=axis) / h
-        for other in range(arr.ndim):
-            if other != axis:
-                d = _avg(d, other)
-        comps.append(d)
-    return comps
-
-
-def _cell_gradient_adjoint(comps: list[np.ndarray], h: float, m: int) -> np.ndarray:
-    """Adjoint of `_cell_gradient`: nodal accumulation of sum_c A_c . dG_c/dv."""
-    n = comps[0].ndim
-    out = np.zeros((m,) * n)
-    denom = 2.0 ** (n - 1) * h
-    for axis in range(n):
-        A = comps[axis] / denom
-        for corner in itertools.product((0, 1), repeat=n):
-            sign = 1.0 if corner[axis] == 1 else -1.0
-            sl = tuple(slice(d, d + m - 1) for d in corner)
-            out[sl] += sign * A
-    return out
+# energy, gradient and Hessian on the cell-gradient operator G
 
 
 @lru_cache(maxsize=32)
-def _mesh_tables(spec: GridSpec):
-    """Static index tables: interior ids, per-cell corner node ids, D matrix."""
-    m, n = spec.m, spec.n
-    interior = ~spec.boundary_mask()
-    interior_id = np.full(spec.num_nodes, -1, dtype=np.int64)
-    interior_id[interior] = np.arange(int(interior.sum()))
+def _interior_gradient(spec: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """G restricted to the interior-node columns, and its transpose."""
+    G_int = cell_gradient_matrix(spec)[:, ~spec.boundary_mask()].tocsr()
+    return G_int, G_int.T.tocsr()
 
-    corners = list(itertools.product((0, 1), repeat=n))
-    cell_axes = np.meshgrid(*([np.arange(m - 1)] * n), indexing="ij")
-    cell_multi = np.stack([a.ravel() for a in cell_axes], axis=-1)  # (ncells, n)
-    corner_ids = np.stack(
-        [
-            np.ravel_multi_index(tuple((cell_multi + np.array(c)).T), (m,) * n)
-            for c in corners
-        ],
-        axis=-1,
-    )  # (ncells, 2^n)
 
-    denom = 2.0 ** (n - 1) * spec.h
-    D = np.array(
-        [[(1.0 if c[a] == 1 else -1.0) / denom for c in corners] for a in range(n)]
-    )  # (n, 2^n)
-    return interior, interior_id, corner_ids, D
+def _cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Components of G v, shaped (n, ncells), and |G v|^2 per cell."""
+    comps = (cell_gradient_matrix(spec) @ v).reshape(spec.n, -1)
+    return comps, np.sum(comps * comps, axis=0)
 
 
 def _energy_arrays(v: np.ndarray, prob: Problem) -> float:
     spec = prob.spec
     p = prob.p.p
-    comps = _cell_gradient(v.reshape(spec.shape), spec.h)
-    s = np.zeros_like(comps[0])
-    for c in comps:
-        s += c * c
+    _, s = _cell_gradient_squared(v, spec)
     kinetic = spec.h**spec.n / p * float(np.sum(s ** (p / 2.0)))
     w = spec.weights()
     zero_order = float(np.dot(w, prob.V.values * np.abs(v) ** p)) / p
@@ -234,13 +184,9 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
     """Exact gradient of J with respect to all nodal values (full array)."""
     spec = prob.spec
     p = prob.p.p
-    comps = _cell_gradient(v.reshape(spec.shape), spec.h)
-    s = np.zeros_like(comps[0])
-    for c in comps:
-        s += c * c
+    comps, s = _cell_gradient_squared(v, spec)
     weight = s ** ((p - 2.0) / 2.0) if p != 2.0 else np.ones_like(s)
-    flux = [weight * c for c in comps]
-    g = spec.h**spec.n * _cell_gradient_adjoint(flux, spec.h, spec.m).ravel()
+    g = spec.h**spec.n * (cell_gradient_matrix(spec).T @ (weight * comps).ravel())
     w = spec.weights()
     g += w * prob.V.values * np.abs(v) ** (p - 2.0) * v
     g -= w * prob.f.values
@@ -248,48 +194,35 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
 
 
 def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix:
+    """``h^n G_int^T K G_int + diag`` on interior nodes, K the per-cell n x n weights."""
     spec = prob.spec
     p = prob.p.p
-    n, m = spec.n, spec.m
-    interior, interior_id, corner_ids, D = _mesh_tables(spec)
-
-    comps = _cell_gradient(v.reshape(spec.shape), spec.h)
-    G = np.stack([c.ravel() for c in comps], axis=-1)  # (ncells, n)
-    s = np.sum(G * G, axis=-1) + eps * eps
+    G_int, G_int_T = _interior_gradient(spec)
+    comps, s = _cell_gradient_squared(v, spec)
+    s = s + eps * eps
     w1 = s ** ((p - 2.0) / 2.0)
-    K = w1[:, None, None] * np.eye(n)[None, :, :]
-    if p != 2.0:
-        w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0)
-        K = K + w2[:, None, None] * (G[:, :, None] * G[:, None, :])
-    local = spec.h**spec.n * np.einsum("ac,kab,bd->kcd", D, K, D)
+    # p = 2 has no second term; skipping it avoids 0 * inf where s = 0
+    w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
 
-    ncorner = corner_ids.shape[1]
-    rows = np.broadcast_to(corner_ids[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(corner_ids[:, None, :], local.shape).ravel()
-    ri = interior_id[rows]
-    ci = interior_id[cols]
-    keep = (ri >= 0) & (ci >= 0)
+    def weight(a, b):  # entry (a, b) of the per-cell n x n weight
+        return w2 * comps[a] * comps[b] + (w1 if a == b else 0.0)
 
+    # block (a, b) of K is diag(weight(a, b)): it sits at offset (b - a) * ncells
+    lags = range(1 - spec.n, spec.n)
+    K = sp.diags(
+        [np.concatenate([weight(a, a + k) for a in range(spec.n) if 0 <= a + k < spec.n])
+         for k in lags],
+        [k * s.size for k in lags],
+        format="csr",
+    )
     nodal_diag = (
         spec.weights()
         * prob.V.values
         * (p - 1.0)
         * (v * v + eps * eps) ** ((p - 2.0) / 2.0)
     )
-    ndof = int(interior.sum())
-    diag_idx = np.arange(ndof)
-
-    H = sp.coo_matrix(
-        (
-            np.concatenate([local.ravel()[keep], nodal_diag[interior]]),
-            (
-                np.concatenate([ri[keep], diag_idx]),
-                np.concatenate([ci[keep], diag_idx]),
-            ),
-        ),
-        shape=(ndof, ndof),
-    )
-    return H.tocsr()
+    return (spec.h**spec.n * (G_int_T @ (K @ G_int))
+            + sp.diags(nodal_diag[~spec.boundary_mask()], format="csr"))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +261,7 @@ def residual(v: GridFunction, prob: Problem) -> GridFunction:
 def _linear_warm_start(prob: Problem) -> np.ndarray:
     """Solve the p = 2 companion problem as a starting iterate for p > 2."""
     spec = prob.spec
-    interior, interior_id, _, _ = _mesh_tables(spec)
+    interior = ~spec.boundary_mask()
     v0 = np.zeros(spec.num_nodes)
     H = _hessian_interior(v0, _companion_p2(prob), 0.0)
     rhs = (spec.weights() * prob.f.values)[interior]
@@ -365,8 +298,8 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     silent success.
     """
     spec = prob.spec
-    interior, _, _, _ = _mesh_tables(spec)
     boundary = spec.boundary_mask()
+    interior = ~boundary
 
     if u0 is not None:
         if u0.spec != spec:

@@ -51,6 +51,20 @@ def test_solve_manufactured_error_law(tmp_path):
     assert errors[129] / errors[257] >= 3.0
 
 
+def test_solve_gaussian_datum(tmp_path):
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {**BASE_SOLVE,
+         "datum": {"kind": "gaussian", "center": 1.0, "width": 0.5, "height": 3.0}},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    u = load_grid_function(out / "u")
+    # a positive datum centred at x = 1 gives a positive solution peaking near 1
+    assert u.values.min() >= 0.0 and u.max_abs() > 0.0
+    assert abs(u.spec.axis_coords()[np.argmax(u.values)] - 1.0) <= 2 * u.spec.h
+
+
 def test_solve_rejects_p_below_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {**BASE_SOLVE, "p": 1.5})
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])

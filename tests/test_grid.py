@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pschrod.grid import (
     GridFunction,
     GridSpec,
     annulus_integrate,
+    cell_gradient_matrix,
     gradient,
     integrate,
     load_grid_function,
@@ -60,8 +63,29 @@ def test_sample_scalar_fallback():
     def field(x):
         return float(max(x, 0.0))
 
-    u = sample(GridSpec(1, 1.0, 5), field)
+    with pytest.warns(RuntimeWarning, match="node by node"):
+        u = sample(GridSpec(1, 1.0, 5), field)
     assert np.array_equal(u.values, [0.0, 0.0, 0.0, 0.5, 1.0])
+
+
+def test_sample_math_exp_field_warns_and_samples():
+    spec = GridSpec(2, 1.0, 5)
+    with pytest.warns(RuntimeWarning, match="not vectorized"):
+        u = sample(spec, lambda x, y: math.exp(-(x * x + y * y)))
+    x = spec.node_coords()
+    assert np.allclose(u.values, np.exp(-np.sum(x**2, axis=1)), rtol=1e-15, atol=0)
+
+
+def test_sample_propagates_other_errors():
+    # only TypeError/ValueError mean "scalar-only"; a real failure on the
+    # array call must not be retried node by node
+    def field(x):
+        if isinstance(x, np.ndarray):
+            raise RuntimeError("vectorized backend failed")
+        return x
+
+    with pytest.raises(RuntimeError, match="backend failed"):
+        sample(GridSpec(1, 1.0, 5), field)
 
 
 def test_gradient_constant_is_zero():
@@ -82,6 +106,54 @@ def test_gradient_quadratic_interior():
     u = sample(GridSpec(1, 1.0, 5), lambda x: x**2)
     # central differences at x = -0.5, 0, 0.5 with h = 0.5
     assert np.allclose(gradient(u).components[0][1:4], [-1.0, 0.0, 1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_gradient_exact_on_affine(n):
+    spec = GridSpec(n, 1.5, 7)
+    coef = np.array([2.0, -5.0, 0.75])[:n]
+    u = 1.0 + spec.node_coords() @ coef
+    G = cell_gradient_matrix(spec)
+    assert G.shape == (n * (spec.m - 1) ** n, spec.num_nodes)
+    comps = (G @ u).reshape(n, -1)
+    for a in range(n):
+        assert np.allclose(comps[a], coef[a], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_gradient_exact_on_multilinear(n):
+    # u = prod_a (1 + c_a x_a): its gradient at a cell centre is exact
+    spec = GridSpec(n, 1.0, 6)
+    c = np.array([0.5, -1.5, 2.0])[:n]
+    u = np.prod(1.0 + spec.node_coords() * c, axis=1)
+    x = spec.axis_coords()
+    centres = [a.ravel() for a in np.meshgrid(*[0.5 * (x[:-1] + x[1:])] * n, indexing="ij")]
+    comps = (cell_gradient_matrix(spec) @ u).reshape(n, -1)
+    for a in range(n):
+        expected = c[a] * np.prod(
+            [1.0 + c[b] * centres[b] for b in range(n) if b != a], axis=0
+        )
+        assert np.allclose(comps[a], expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_gradient_transpose_is_adjoint(n, rng):
+    spec = GridSpec(n, 2.0, 9)
+    G = cell_gradient_matrix(spec)
+    u = rng.standard_normal(spec.num_nodes)
+    w = rng.standard_normal(G.shape[0])
+    lhs = float(np.dot(G @ u, w))
+    rhs = float(np.dot(u, G.T @ w))
+    scale = float(np.dot(np.abs(G) @ np.abs(u), np.abs(w)))
+    assert abs(lhs - rhs) <= 1e-14 * scale
+
+
+def test_cell_gradient_matrix_is_cached_and_read_only():
+    spec = GridSpec(2, 1.0, 5)
+    G = cell_gradient_matrix(spec)
+    assert cell_gradient_matrix(GridSpec(2, 1.0, 5)) is G
+    with pytest.raises(ValueError):
+        G.data[0] = 1.0
 
 
 def test_integrate_constant_box_volume():

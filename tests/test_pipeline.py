@@ -103,6 +103,26 @@ def test_energy_estimate_passes(small_case):
         assert rep.passed and rep.slack >= 0.0
 
 
+def test_energy_estimate_3d_in_solver_norm():
+    # two Gaussian bumps in a 3D trap at level k = 1: the energy norm is
+    # measured with the solver's cell gradient, where the estimate holds
+    # for every t (the nodal central difference overshot at t = 0.1)
+    spec = GridSpec(3, 6.0, 13)
+
+    def datum(x, y, z):
+        return (12.0 * np.exp(-((x + 2.0) ** 2 + y**2 + z**2) / 0.8**2)
+                + 4.0 * np.exp(-((x - 2.0) ** 2 + (y - 1.0) ** 2 + (z + 1.0) ** 2)))
+
+    f1 = regularize_datum(sample(spec, datum), 1.0)
+    V = sample_potential(polynomial_trap(gamma=2.0), spec)
+    prob = Problem(spec=spec, p=ExponentP(3.0, degenerate_ok=True), V=V, f=f1)
+    res = solve(prob)
+    assert res.converged
+    for t in (0.1, 0.5, 1.0, 2.0, 5.0):
+        rep = check_energy_estimate(res, prob, t, integrate(f1.abs()))
+        assert rep.passed, (t, rep.lhs / rep.rhs)
+
+
 def test_tail_bound_trap_formula(small_case):
     prob, pot, res = small_case
     f_l1 = integrate(prob.f.abs())

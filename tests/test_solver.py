@@ -11,6 +11,8 @@ from pschrod.presets import (
 )
 from pschrod.solver import (
     Problem,
+    _gradient_arrays,
+    _hessian_interior,
     energy,
     monotonicity_margin,
     residual,
@@ -105,6 +107,29 @@ def test_residual_is_exact_energy_gradient(p, rng):
         vm = GridFunction(spec, v.values - eps * d.values)
         fd = (energy(vp, prob) - energy(vm, prob)) / (2 * eps)
         assert fd == pytest.approx(pairing, rel=1e-6, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, m", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("p, eps", [(2.0, 0.0), (3.0, 1e-12)])
+def test_hessian_matches_finite_difference_of_gradient(n, m, p, eps, rng):
+    spec = GridSpec(n, 2.0, m)
+    x = spec.node_coords()
+    V = GridFunction(spec, 1.0 + np.sum(x**2, axis=1))
+    f = GridFunction(spec, np.exp(-np.sum((x - 0.3) ** 2, axis=1)))
+    prob = Problem(spec=spec, p=ExponentP(p, degenerate_ok=True), V=V, f=f)
+    interior = np.flatnonzero(~spec.boundary_mask())
+    v = np.zeros(spec.num_nodes)
+    v[interior] = rng.standard_normal(interior.size)
+    H = _hessian_interior(v, prob, eps).toarray()
+    delta = 1e-6
+    fd = np.empty_like(H)
+    for col, node in enumerate(interior):
+        step = np.zeros(spec.num_nodes)
+        step[node] = delta
+        dg = _gradient_arrays(v + step, prob) - _gradient_arrays(v - step, prob)
+        fd[:, col] = dg[interior] / (2.0 * delta)
+    assert np.allclose(H, H.T, rtol=0, atol=1e-14 * np.abs(H).max())
+    assert np.abs(H - fd).max() <= 1e-8 * np.abs(H).max()
 
 
 def test_solve_zero_datum_is_zero():
