@@ -34,8 +34,6 @@ __all__ = [
     "superlevel_measure",
 ]
 
-#: default tolerance for checks affected by O(h) discretization error
-DISCRETIZATION_TOL = 5e-2
 #: default tolerance for pointwise algebraic identities
 ALGEBRAIC_TOL = 1e-12
 

@@ -22,12 +22,26 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .asymptotic import ExponentP
+from .asymptotic import ExponentP, truncate
 from .compactness import FunctionFamily, ark_check, epsilon_net, kr_report
-from .grid import GridFunction, GridSpec, load_grid_function, sample, save_grid_function
+from .grid import (
+    GridFunction,
+    GridSpec,
+    load_grid_function,
+    sample,
+    save_grid_function,
+    write_json,
+)
 from .pipeline import SchemeConfig, mollify_datum, regularize_datum, run_scheme, save_scheme_result
-from .potentials import Potential, confinement_report, polynomial_trap, sample_potential, sparse_wells
-from .presets import bump, manufactured_p2_datum, two_bump
+from .potentials import (
+    Potential,
+    bad_set_measure_mc,
+    confinement_report,
+    polynomial_trap,
+    sample_potential,
+    sparse_wells,
+)
+from .presets import bump, manufactured_p2_datum, translating_bumps, two_bump
 from .solver import Problem, solve
 from .verify import SUITE_NAMES, run_verify
 
@@ -177,9 +191,7 @@ def _write_manifest(outdir: Path, config: dict, args, started: float) -> None:
         },
         "wall_time_s": time.monotonic() - started,
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "manifest.json", manifest)
 
 
 def _load_config(args, defaults: dict | None = None) -> dict:
@@ -216,9 +228,7 @@ def cmd_solve(args) -> int:
     out = _outdir(args, cfg)
     result = solve(prob)
     save_grid_function(result.u, out / "u")
-    with open(out / "solve.json", "w") as fh:
-        json.dump(result.diagnostics(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "solve.json", result.diagnostics())
     _write_manifest(out, cfg, args, started)
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
@@ -310,8 +320,6 @@ def cmd_confinement(args) -> int:
     if mc_block:
         if args.seed is None:
             raise ConfigError("Monte Carlo cross-check needs --seed")
-        from .potentials import bad_set_measure_mc
-
         payload["monte_carlo"] = {
             f"{R:g}": bad_set_measure_mc(
                 pot, spec, R, int(mc_block.get("samples", 100000)), args.seed
@@ -320,9 +328,7 @@ def cmd_confinement(args) -> int:
         }
 
     out = _outdir(args, cfg)
-    with open(out / "confinement.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "confinement.json", payload)
     _write_manifest(out, cfg, args, started)
 
     print(f"confinement: {report.label} kappa={report.kappa:g} gamma={report.gamma:g}")
@@ -345,14 +351,13 @@ def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
     if kind == "translating_bumps":
         if spec is None:
             raise ConfigError("translating_bumps family needs a grid block")
-        count = int(block.get("count", 6))
-        width = float(block.get("width", 0.5))
-        height = float(block.get("height", 2.0))
-        spacing = float(block.get("spacing", 1.0))
-        members = tuple(
-            sample(spec, bump(spacing * j, width, height)) for j in range(1, count + 1)
+        return translating_bumps(
+            spec,
+            count=int(block.get("count", 6)),
+            spacing=float(block.get("spacing", 1.0)),
+            width=float(block.get("width", 0.5)),
+            height=float(block.get("height", 2.0)),
         )
-        return FunctionFamily(members, label="translating bumps")
     if kind == "fixed_bumps":
         if spec is None:
             raise ConfigError("fixed_bumps family needs a grid block")
@@ -370,8 +375,6 @@ def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
         members = [load_grid_function(b) for b in bases]
         level = block.get("truncation")
         if level is not None:
-            from .asymptotic import truncate
-
             members = [truncate(u, float(level)) for u in members]
         return FunctionFamily(tuple(members), label=f"files:{directory.name}")
     raise ConfigError(f"unknown family kind {kind!r}")
@@ -411,9 +414,7 @@ def cmd_compactness(args) -> int:
     payload = report.to_dict()
     payload["epsilon_net"] = {"eps": float(cfg.get("net_eps", eps)),
                               "indices": list(map(int, net))}
-    with open(out / "family_report.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "family_report.json", payload)
     _write_manifest(out, cfg, args, started)
 
     print(f"compactness: family '{fam.label}' size={len(fam)} p={p:g} eps={eps:g}")

@@ -38,6 +38,7 @@ __all__ = [
     "zero_boundary",
     "save_grid_function",
     "load_grid_function",
+    "write_json",
 ]
 
 _MAX_NODES = 2**27  # keep m**n addressable and memory sane
@@ -374,6 +375,13 @@ def save_grid_function(u: GridFunction, path_base: str | Path) -> tuple[Path, Pa
     json_path.write_text(json.dumps(header, sort_keys=True) + "\n")
     bin_path.write_bytes(u.values.astype("<f8").tobytes())
     return json_path, bin_path
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted JSON plus a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_grid_function(path_base: str | Path) -> GridFunction:

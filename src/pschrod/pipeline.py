@@ -25,7 +25,6 @@ caveat "finite-sequence surrogate".
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -49,6 +48,7 @@ from .grid import (
     gradient,
     integrate,
     save_grid_function,
+    write_json,
 )
 from .potentials import Potential, bad_set_measure, sample_potential
 from .solver import Problem, SolveResult, pflux, solve
@@ -237,6 +237,7 @@ def identity_defect(
         int |grad T_a u|^(p-2) grad T_a u . grad Phi
         + int V |T_a u|^(p-2) T_a u Phi  =  int f Phi
 
+    (the :func:`distributional_residual` of ``T_a u`` tested against Phi)
     with ``Phi = truncation_perturbation(u, phi, alpha, t)``, and
     ``supp_ok`` confirms supp(Phi) is contained in supp(phi) node by node.
     Requires ``alpha > t + max|phi|``.
@@ -248,27 +249,11 @@ def identity_defect(
         raise ValueError(
             f"alpha must exceed t + max|phi| = {t + phi.max_abs():g}, got {alpha!r}"
         )
-    p = prob.p.p
     u = res.u
-    phi_vals = phi.values
     big_phi = truncation_perturbation(u, phi, alpha, t)
-    supp_ok = bool(np.all(big_phi.values[phi_vals == 0.0] == 0.0))
-
+    supp_ok = bool(np.all(big_phi.values[phi.values == 0.0] == 0.0))
     grad_ta = gradient(u).masked(np.abs(u.values) < alpha)
-    grad_big = gradient(big_phi)
-    flux = pflux(np.stack(grad_ta.components, axis=-1), p)
-    kin = integrate(
-        GridFunction(
-            u.spec,
-            np.sum(flux * np.stack(grad_big.components, axis=-1), axis=-1),
-        )
-    )
-    ta = truncate(u, alpha).values
-    zero_order = integrate(
-        GridFunction(u.spec, prob.V.values * np.abs(ta) ** (p - 2.0) * ta * big_phi.values)
-    )
-    source = integrate(GridFunction(u.spec, prob.f.values * big_phi.values))
-    return abs(kin + zero_order - source), supp_ok
+    return distributional_residual(truncate(u, alpha), grad_ta, prob, big_phi), supp_ok
 
 
 def _identity_scale(prob: Problem, t: float) -> float:
@@ -400,6 +385,21 @@ def _solve_one(args):
     return k, f_k, prob, solve(prob)
 
 
+def _pair_matrix(
+    k_list: tuple[float, ...], failed: list[float],
+    value: Callable[[float, float], float],
+) -> np.ndarray:
+    """Symmetric ``value(k, l)`` over level pairs, zero diagonal, NaN on failed levels."""
+    nk = len(k_list)
+    mat = np.zeros((nk, nk))
+    for i, k in enumerate(k_list):
+        for j in range(i + 1, nk):
+            l = k_list[j]
+            failed_pair = k in failed or l in failed
+            mat[i, j] = mat[j, i] = np.nan if failed_pair else value(k, l)
+    return mat
+
+
 def run_scheme(
     f: GridFunction,
     V: Potential,
@@ -464,29 +464,16 @@ def run_scheme(
                 rep.context["l"] = l
                 reports.append(rep)
 
-    nk = len(cfg.k_list)
-    pairwise = np.zeros((nk, nk))
-    for i, k in enumerate(cfg.k_list):
-        for j in range(i + 1, nk):
-            l = cfg.k_list[j]
-            if k in failed or l in failed:
-                d = np.nan
-            else:
-                d = lambda_dist(solutions[k].u, solutions[l].u, p)
-            pairwise[i, j] = pairwise[j, i] = d
-
-    measure_diag: dict[float, np.ndarray] = {}
-    for eps in cfg.eps_grid:
-        mat = np.zeros((nk, nk))
-        for i, k in enumerate(cfg.k_list):
-            for j in range(i + 1, nk):
-                l = cfg.k_list[j]
-                if k in failed or l in failed:
-                    val = np.nan
-                else:
-                    val = superlevel_measure(solutions[k].u - solutions[l].u, eps)
-                mat[i, j] = mat[j, i] = val
-        measure_diag[eps] = mat
+    pairwise = _pair_matrix(
+        cfg.k_list, failed, lambda k, l: lambda_dist(solutions[k].u, solutions[l].u, p)
+    )
+    measure_diag = {
+        eps: _pair_matrix(
+            cfg.k_list, failed,
+            lambda k, l: superlevel_measure(solutions[k].u - solutions[l].u, eps),
+        )
+        for eps in cfg.eps_grid
+    }
 
     k_ref = good[-1]
     u_ref = solutions[k_ref].u
@@ -533,9 +520,7 @@ def save_scheme_result(res: SchemeResult, outdir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for k, sol in res.solutions.items():
         save_grid_function(sol.u, out / f"u_k{k:g}")
-    with open(out / "reports.json", "w") as fh:
-        json.dump([r.to_dict() for r in res.reports], fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "reports.json", [r.to_dict() for r in res.reports])
     with open(out / "distances.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k"] + [f"{k:g}" for k in res.k_list])
@@ -555,6 +540,4 @@ def save_scheme_result(res: SchemeResult, outdir: str | Path) -> None:
             f"{k:g}": sol.diagnostics() for k, sol in res.solutions.items()
         },
     }
-    with open(out / "diagnostics.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "diagnostics.json", diagnostics)

@@ -1,8 +1,10 @@
-"""Canonical desk-scale experiments shared by the CLI and the test suite.
+"""Canonical desk-scale experiments shared by the CLI, ``verify`` and the tests.
 
 The standard pipeline lives on ``[-8, 8]`` and feeds a two-bump integrable
 datum (peaks 12 and 4, so every level in {1, 2, 4, 8, 16} genuinely
-truncates) into the quadratic-growth trap ``V = 1 + x^2``.
+truncates) into the quadratic-growth trap ``V = 1 + x^2``.  Each experiment
+that more than one caller runs (the small scheme, the localized-identity
+case, the translating-bumps family) is defined here once.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .asymptotic import ExponentP
-from .grid import GridFunction, GridSpec, sample
-from .pipeline import SchemeConfig
-from .potentials import Potential, polynomial_trap
+from .compactness import FunctionFamily
+from .grid import GridFunction, GridSpec, sample, zero_boundary
+from .pipeline import SchemeConfig, SchemeResult, regularize_datum, run_scheme
+from .potentials import Potential, polynomial_trap, sample_potential
 from .solver import Problem
 
 __all__ = [
@@ -22,7 +25,10 @@ __all__ = [
     "standard_potential",
     "standard_scheme_config",
     "standard_problem_factory",
+    "small_scheme",
+    "identity_case",
     "bump",
+    "translating_bumps",
     "manufactured_p2_solution",
     "manufactured_p2_datum",
     "manufactured_p4_datum",
@@ -41,6 +47,16 @@ def bump(center: float, width: float, height: float):
         return height * np.exp(-(((x - center) / width) ** 2))
 
     return f
+
+
+def translating_bumps(
+    spec: GridSpec, count: int, spacing: float, width: float, height: float
+) -> FunctionFamily:
+    """Bumps centred at ``spacing * j``, j = 1..count: mass escaping to infinity."""
+    members = tuple(
+        sample(spec, bump(spacing * j, width, height)) for j in range(1, count + 1)
+    )
+    return FunctionFamily(members, label="translating bumps")
 
 
 def standard_grid(m: int = 257, L: float = 8.0) -> GridSpec:
@@ -104,9 +120,38 @@ def manufactured_p4_datum(spec: GridSpec, fine_factor: int = 10) -> GridFunction
 def standard_problem_factory(p: float, m: int = 257, L: float = 8.0):
     """(Problem, datum) builder for the standard trap + two-bump experiment."""
     spec = standard_grid(m=m, L=L)
-    from .potentials import sample_potential
-
     V = sample_potential(standard_potential(), spec)
     f = two_bump_datum(spec)
     prob = Problem(spec=spec, p=ExponentP(p, degenerate_ok=True), V=V, f=f)
     return prob, f
+
+
+def small_scheme(
+    p: float, threads: int = 1, regularizer=regularize_datum
+) -> SchemeResult:
+    """Reduced standard experiment: m = 129, levels k in {1, 2, 4, 8}."""
+    cfg = SchemeConfig(
+        k_list=(1.0, 2.0, 4.0, 8.0),
+        t_grid=(0.5, 1.0, 2.0),
+        alpha_grid=(0.5, 1.0),
+        R_grid=(2.0, 4.0, 6.0),
+    )
+    f = two_bump_datum(standard_grid(m=129))
+    return run_scheme(
+        f, standard_potential(), p, cfg, regularizer=regularizer, threads=threads
+    )
+
+
+def identity_case(p: float):
+    """``make_case(m) -> (Problem, phi)`` for the localized-identity study.
+
+    The standard problem at resolution m, tested against a bump of height
+    0.6 at x = 1 (zero on the boundary).
+    """
+
+    def make_case(m: int):
+        prob, _ = standard_problem_factory(p, m=m)
+        phi = zero_boundary(sample(prob.spec, bump(1.0, 0.5, 0.6)))
+        return prob, phi
+
+    return make_case

@@ -10,12 +10,12 @@ depend on the seed.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotic import (
+    ALGEBRAIC_TOL,
     ExponentP,
     lambda_dist,
     lambda_fnorm,
@@ -30,27 +30,19 @@ from .compactness import (
     epsilon_net,
     kr_report,
 )
-from .grid import GridFunction, GridSpec, integrate, sample, zero_boundary
-from .pipeline import (
-    SchemeConfig,
-    estimate_identity_budget,
-    identity_defect,
-    mollify_datum,
-    run_scheme,
-)
+from .grid import GridFunction, GridSpec, integrate, write_json, zero_boundary
+from .pipeline import estimate_identity_budget, identity_defect, mollify_datum
 from .potentials import bad_set_measure, bad_set_measure_mc, confinement_report, sample_potential, sparse_wells
 from .presets import (
-    bump,
-    standard_potential,
+    identity_case,
+    small_scheme,
     standard_problem_factory,
+    translating_bumps,
     two_bump_datum,
 )
 from .solver import Problem, monotonicity_margin, solve
 
 __all__ = ["SUITE_NAMES", "run_verify"]
-
-_REL_TOL = 1e-12
-
 
 def _suite_monotonicity(rng: np.random.Generator, threads: int) -> dict:
     details = {}
@@ -70,7 +62,7 @@ def _suite_monotonicity(rng: np.random.Generator, threads: int) -> dict:
             "min_rel_margin_scalar": float(np.min(rel_s)),
         }
         worst = min(worst, float(np.min(rel)), float(np.min(rel_s)))
-    return {"passed": worst >= -_REL_TOL, "worst_rel_margin": worst, "per_p": details}
+    return {"passed": worst >= -ALGEBRAIC_TOL, "worst_rel_margin": worst, "per_p": details}
 
 
 def _random_gf(rng, spec, scale=3.0) -> GridFunction:
@@ -98,9 +90,9 @@ def _suite_lambda_metric(rng: np.random.Generator, threads: int) -> dict:
         worst_shift = max(worst_shift, gap / max(duv, 1e-300))
     identity_zero = lambda_dist(u, u, p)
     passed = (
-        worst_triangle <= _REL_TOL
-        and worst_lipschitz <= _REL_TOL
-        and worst_shift <= _REL_TOL
+        worst_triangle <= ALGEBRAIC_TOL
+        and worst_lipschitz <= ALGEBRAIC_TOL
+        and worst_shift <= ALGEBRAIC_TOL
         and identity_zero == 0.0
     )
     return {
@@ -133,7 +125,7 @@ def _suite_nesting_embedding(rng: np.random.Generator, threads: int) -> dict:
     lhs = lambda_fnorm(f, q) ** q
     rhs = q / (q - p) * weak_p
     ratio = lhs / rhs
-    passed = worst_nesting <= _REL_TOL and 0.95 <= ratio <= 1.0 + _REL_TOL
+    passed = worst_nesting <= ALGEBRAIC_TOL and 0.95 <= ratio <= 1.0 + ALGEBRAIC_TOL
     return {
         "passed": passed,
         "worst_rel_nesting_gap": worst_nesting,
@@ -148,32 +140,11 @@ def _suite_nesting_embedding(rng: np.random.Generator, threads: int) -> dict:
     }
 
 
-def _small_scheme(p: float, threads: int, regularizer=None):
-    from .pipeline import regularize_datum
-
-    spec = GridSpec(n=1, L=8.0, m=129)
-    f = two_bump_datum(spec)
-    cfg = SchemeConfig(
-        k_list=(1.0, 2.0, 4.0, 8.0),
-        t_grid=(0.5, 1.0, 2.0),
-        alpha_grid=(0.5, 1.0),
-        R_grid=(2.0, 4.0, 6.0),
-    )
-    return run_scheme(
-        f,
-        standard_potential(),
-        p,
-        cfg,
-        regularizer=regularizer or regularize_datum,
-        threads=threads,
-    )
-
-
 def _suite_pipeline(rng: np.random.Generator, threads: int) -> dict:
     details = {}
     passed = True
     for p in (2.0, 3.0):
-        res = _small_scheme(p, threads)
+        res = small_scheme(p, threads)
         failed = res.failed_reports()
         dists = [row["lambda_dist_to_ref"] for row in res.convergence["rows"][:-1]]
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -222,17 +193,12 @@ def _suite_sparse_wells(rng: np.random.Generator, threads: int) -> dict:
 def _suite_compactness(rng: np.random.Generator, threads: int) -> dict:
     spec = GridSpec(n=1, L=8.0, m=257)
     eps = 0.3
-    translates = FunctionFamily(
-        tuple(
-            sample(spec, bump(1.0 * j, 0.5, 2.0)) for j in range(1, 8)
-        ),
-        label="translating bumps",
-    )
+    translates = translating_bumps(spec, count=7, spacing=1.0, width=0.5, height=2.0)
     rep_translates = kr_report(
         translates, 2.0, [spec.h, 2 * spec.h], [2.0, 4.0, 6.0], [0.5, 1.0], eps=eps
     )
 
-    scheme = _small_scheme(2.0, threads)
+    scheme = small_scheme(2.0, threads)
     t = 1.0
     fam = FunctionFamily(
         tuple(truncate(scheme.solutions[k].u, t) for k in scheme.k_list),
@@ -266,18 +232,9 @@ def _suite_compactness(rng: np.random.Generator, threads: int) -> dict:
     }
 
 
-def _identity_case(p: float):
-    def make_case(m: int):
-        prob, _ = standard_problem_factory(p, m=m)
-        phi = zero_boundary(sample(prob.spec, bump(1.0, 0.5, 0.6)))
-        return prob, phi
-
-    return make_case
-
-
 def _suite_localized_identity(rng: np.random.Generator, threads: int) -> dict:
     p, t, alpha = 3.0, 0.3, 1.2
-    make_case = _identity_case(p)
+    make_case = identity_case(p)
     defects = []
     supp_all = True
     for m in (65, 129, 257):
@@ -299,8 +256,8 @@ def _suite_localized_identity(rng: np.random.Generator, threads: int) -> dict:
 
 
 def _suite_uniqueness(rng: np.random.Generator, threads: int) -> dict:
-    res_canonical = _small_scheme(2.0, threads)
-    res_mollified = _small_scheme(2.0, threads, regularizer=mollify_datum)
+    res_canonical = small_scheme(2.0, threads)
+    res_mollified = small_scheme(2.0, threads, regularizer=mollify_datum)
     k_ref = res_canonical.k_list[-1]
     d_ref = lambda_dist(
         res_canonical.solutions[k_ref].u, res_mollified.solutions[k_ref].u, 2.0
@@ -370,15 +327,10 @@ def run_verify(
         idx = SUITE_NAMES.index(name)
         rng = np.random.default_rng([seed, idx])
         result = {"suite": name, "seed": seed, **_SUITES[name](rng, threads)}
-        path = out / f"verify_{name}.json"
-        with open(path, "w") as fh:
-            json.dump(result, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(out / f"verify_{name}.json", result)
         summary["suites"][name] = result["passed"]
         all_passed = all_passed and result["passed"]
         echo(f"suite {name}: {'PASS' if result['passed'] else 'FAIL'}")
     summary["passed"] = all_passed
-    with open(out / "verify_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "verify_summary.json", summary)
     return summary

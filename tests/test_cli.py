@@ -229,7 +229,7 @@ def test_solve_non_convergence_exit(tmp_path):
     assert (out / "u.bin").exists()
 
 
-FAST_SUITES = ["--suite", "monotonicity", "--suite", "lambda_metric"]
+FAST_SUITES = ["--suite", "monotonicity", "--suite", "nesting_embedding"]
 
 
 def test_verify_requires_seed(tmp_path, capsys):
@@ -241,7 +241,7 @@ def test_verify_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     assert main(["verify", "--seed", "3", "--out", str(out1)] + FAST_SUITES) == 0
     assert main(["verify", "--seed", "3", "--out", str(out2)] + FAST_SUITES) == 0
-    for name in ("verify_monotonicity.json", "verify_lambda_metric.json",
+    for name in ("verify_monotonicity.json", "verify_nesting_embedding.json",
                  "verify_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

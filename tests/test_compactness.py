@@ -15,8 +15,7 @@ from pschrod.compactness import (
     translation_defect,
 )
 from pschrod.grid import GridFunction, GridSpec, integrate, sample
-from pschrod.pipeline import SchemeConfig, run_scheme
-from pschrod.presets import bump, standard_potential, two_bump_datum
+from pschrod.presets import bump, small_scheme, translating_bumps, two_bump_datum
 
 
 def test_maximal_constant_fixed_point():
@@ -150,10 +149,7 @@ def test_maximal_translation_refinement_stable():
 @pytest.fixture(scope="module")
 def translating_family():
     spec = GridSpec(1, 8.0, 257)
-    return FunctionFamily(
-        tuple(sample(spec, bump(1.0 * j, 0.5, 2.0)) for j in range(1, 8)),
-        label="translates",
-    )
+    return translating_bumps(spec, count=7, spacing=1.0, width=0.5, height=2.0)
 
 
 def test_kr_fixed_bumps_all_decaying():
@@ -178,20 +174,20 @@ def test_kr_translating_family_tail_not_observed(translating_family):
     assert rep.tails[6.0] > 0.3**2
 
 
-@pytest.fixture(scope="module")
-def solution_family():
-    spec = GridSpec(1, 8.0, 129)
-    f = two_bump_datum(spec)
-    cfg = SchemeConfig(
-        k_list=(1.0, 2.0, 4.0, 8.0), t_grid=(0.5, 1.0), R_grid=(2.0, 4.0, 6.0)
-    )
-    scheme = run_scheme(f, standard_potential(), 2.0, cfg)
+@pytest.fixture(scope="module", params=["small", "standard"])
+def solution_family(request):
+    """Truncations T_1 u_k of the p = 2 small scheme (m = 129, k <= 8) and of
+    the standard one (m = 257, k <= 16), with the datum and t."""
+    if request.param == "small":
+        scheme = small_scheme(2.0)
+    else:
+        scheme = request.getfixturevalue("std_scheme_p2")
     t = 1.0
     fam = FunctionFamily(
-        tuple(truncate(scheme.solutions[k].u, t) for k in cfg.k_list),
+        tuple(truncate(scheme.solutions[k].u, t) for k in scheme.k_list),
         label="truncated solutions",
     )
-    return fam, f, t
+    return fam, two_bump_datum(fam.spec), t
 
 
 def test_kr_solution_family_decaying(solution_family):

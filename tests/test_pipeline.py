@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pschrod.asymptotic import ExponentP, lambda_dist, truncate
+from pschrod.asymptotic import ExponentP, lambda_dist
 from pschrod.grid import GridFunction, GridSpec, gradient, integrate, sample, zero_boundary
 from pschrod.pipeline import (
     SchemeConfig,
@@ -22,11 +22,11 @@ from pschrod.pipeline import (
 from pschrod.potentials import polynomial_trap, sample_potential
 from pschrod.presets import (
     bump,
+    identity_case,
     manufactured_p2_datum,
-    manufactured_p2_solution,
+    small_scheme,
     standard_grid,
     standard_potential,
-    standard_problem_factory,
     two_bump_datum,
 )
 from pschrod.solver import Problem, solve
@@ -194,17 +194,8 @@ def test_truncation_perturbation_support(rng):
         assert np.all(big.values[phi.values == 0.0] == 0.0)
 
 
-def _identity_case(p):
-    def make_case(m):
-        prob, _ = standard_problem_factory(p, m=m)
-        phi = zero_boundary(sample(prob.spec, bump(1.0, 0.5, 0.6)))
-        return prob, phi
-
-    return make_case
-
-
 def test_identity_preconditions():
-    prob, phi = _identity_case(2.0)(65)
+    prob, phi = identity_case(2.0)(65)
     res = solve(prob)
     with pytest.raises(ValueError, match="alpha"):
         identity_defect(res, prob, phi, alpha=0.8, t=0.3)
@@ -214,10 +205,11 @@ def test_identity_preconditions():
 
 
 def test_identity_defect_halves_with_h():
-    make_case = _identity_case(3.0)
+    # the verify suite runs m = 65, 129, 257; this is the next refinement step
+    make_case = identity_case(3.0)
     alpha, t = 1.2, 0.3
     defects = []
-    for m in (65, 129, 257):
+    for m in (129, 257, 513):
         prob, phi = make_case(m)
         defect, supp_ok = identity_defect(solve(prob), prob, phi, alpha, t)
         assert supp_ok
@@ -227,7 +219,7 @@ def test_identity_defect_halves_with_h():
 
 
 def test_identity_budget_freezes_and_passes():
-    make_case = _identity_case(3.0)
+    make_case = identity_case(3.0)
     alpha, t = 1.2, 0.3
     c_budget = estimate_identity_budget(make_case, alpha, t, m_coarse=65)
     for m in (129, 257):
@@ -288,28 +280,20 @@ def test_run_scheme_zero_datum():
 
 
 @pytest.fixture(scope="module")
-def small_scheme():
-    spec = GridSpec(1, 8.0, 129)
-    f = two_bump_datum(spec)
-    cfg = SchemeConfig(
-        k_list=(1.0, 2.0, 4.0, 8.0),
-        t_grid=(0.5, 1.0, 2.0),
-        alpha_grid=(0.5, 1.0),
-        R_grid=(2.0, 4.0, 6.0),
-    )
-    return run_scheme(f, standard_potential(), 3.0, cfg), cfg
+def small_scheme_p3():
+    return small_scheme(3.0)
 
 
-def test_run_scheme_all_reports_pass(small_scheme):
-    res, _ = small_scheme
+def test_run_scheme_all_reports_pass(small_scheme_p3):
+    res = small_scheme_p3
     assert not res.failed_k
     assert not res.failed_reports()
     names = {r.name for r in res.reports}
     assert names == {"energy_estimate", "tail_bound", "stability", "superlevel_bound"}
 
 
-def test_run_scheme_matrices(small_scheme):
-    res, cfg = small_scheme
+def test_run_scheme_matrices(small_scheme_p3):
+    res = small_scheme_p3
     mat = res.pairwise_lambda
     assert mat.shape == (4, 4)
     assert np.array_equal(mat, mat.T)
@@ -319,20 +303,18 @@ def test_run_scheme_matrices(small_scheme):
         assert np.all(np.diag(m) == 0.0)
 
 
-def test_run_scheme_distance_to_reference_decreases(small_scheme):
-    res, _ = small_scheme
+def test_run_scheme_distance_to_reference_decreases(small_scheme_p3):
+    res = small_scheme_p3
     dists = [row["lambda_dist_to_ref"] for row in res.convergence["rows"]]
     assert all(b < a for a, b in zip(dists[:-1], dists[1:-1]))
     assert dists[-1] == 0.0
     assert res.convergence["caveat"] == "finite-sequence surrogate"
 
 
-def test_run_scheme_threaded_matches_serial(small_scheme):
-    res, cfg = small_scheme
-    spec = GridSpec(1, 8.0, 129)
-    f = two_bump_datum(spec)
-    res2 = run_scheme(f, standard_potential(), 3.0, cfg, threads=3)
-    for k in cfg.k_list:
+def test_run_scheme_threaded_matches_serial(small_scheme_p3):
+    res = small_scheme_p3
+    res2 = small_scheme(3.0, threads=3)
+    for k in res.k_list:
         assert np.array_equal(res.solutions[k].u.values, res2.solutions[k].u.values)
 
 
@@ -361,30 +343,28 @@ def test_duality_regime_levels_coincide():
     assert res.pairwise_lambda[0, 1] == 0.0
 
 
-def test_scheme_independence_canonical_vs_mollified():
-    spec = standard_grid(m=129)
-    f = two_bump_datum(spec)
-    cfg = SchemeConfig(
-        k_list=(1.0, 2.0, 4.0, 8.0), t_grid=(0.5, 1.0), R_grid=(2.0, 4.0, 6.0),
+def test_scheme_independence_canonical_vs_mollified(std_datum, std_config, std_scheme_p2):
+    # the verify uniqueness suite runs the small scheme; this is the standard one
+    canon = std_scheme_p2
+    moll = run_scheme(
+        std_datum, standard_potential(), 2.0, std_config, regularizer=mollify_datum
     )
-    canon = run_scheme(f, standard_potential(), 2.0, cfg)
-    moll = run_scheme(f, standard_potential(), 2.0, cfg, regularizer=mollify_datum)
-    k_ref = cfg.k_list[-1]
+    k_ref = std_config.k_list[-1]
     d_ref = lambda_dist(canon.solutions[k_ref].u, moll.solutions[k_ref].u, 2.0)
     assert d_ref <= 1e-3
     d_first = lambda_dist(canon.solutions[1.0].u, moll.solutions[1.0].u, 2.0)
     assert d_first > 0.0
 
 
-def test_save_scheme_result_files(small_scheme, tmp_path):
+def test_save_scheme_result_files(small_scheme_p3, tmp_path):
     import json
 
-    res, cfg = small_scheme
+    res = small_scheme_p3
     save_scheme_result(res, tmp_path)
     assert (tmp_path / "reports.json").exists()
     assert (tmp_path / "distances.csv").exists()
     assert (tmp_path / "diagnostics.json").exists()
-    for k in cfg.k_list:
+    for k in res.k_list:
         assert (tmp_path / f"u_k{k:g}.json").exists()
         assert (tmp_path / f"u_k{k:g}.bin").exists()
     reports = json.loads((tmp_path / "reports.json").read_text())
