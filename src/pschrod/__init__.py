@@ -22,7 +22,7 @@ from .asymptotic import (
     tail_lambda,
     truncate,
     weak_lq_quasinorm,
-    x_norm,
+    x_norm_p,
 )
 from .compactness import (
     FamilyReport,
@@ -37,9 +37,9 @@ from .compactness import (
 from .grid import (
     GridFunction,
     GridSpec,
-    VectorField,
     annulus_integrate,
     cell_gradient_matrix,
+    cell_gradient_norm,
     gradient,
     integrate,
     load_grid_function,

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .grid import GridFunction, VectorField, _check_same_spec, annulus_integrate, integrate
+from .grid import GridFunction, _check_same_spec, annulus_integrate, cell_gradient_norm, integrate
 
 __all__ = [
     "ExponentP",
@@ -28,7 +28,7 @@ __all__ = [
     "lp_norm",
     "lambda_fnorm",
     "lambda_dist",
-    "x_norm",
+    "x_norm_p",
     "weak_lq_quasinorm",
     "tail_lambda",
     "superlevel_measure",
@@ -151,21 +151,21 @@ def lambda_dist(u: GridFunction, v: GridFunction, p) -> float:
     return lambda_fnorm(u - v, p)
 
 
-def x_norm(u: GridFunction, grad: VectorField, V: GridFunction, p) -> float:
-    """Energy norm ``(integral |grad|^p + integral V |u|^p)^(1/p)``.
+def x_norm_p(u: GridFunction, V: GridFunction, p) -> float:
+    """p-th power of the energy norm, in the solver's discretization.
 
+    ``||u||_X^p = h^n sum_cells |G u|^p + integral V |u|^p`` with G the
+    cell gradient of the solver's energy (:func:`pschrod.grid.cell_gradient_norm`).
     Requires V >= 1 everywhere; then the energy norm dominates the Lp norm.
     """
     p = _as_p(p)
     _check_same_spec(u, V)
-    if grad.spec != u.spec:
-        raise ValueError("gradient lives on a different grid")
     vmin = float(np.min(V.values))
     if vmin < 1.0:
         raise ValueError(f"potential must satisfy V >= 1 at every node, min is {vmin}")
-    kinetic = integrate(_powabs(grad.magnitude(), p))
+    kinetic = u.spec.h**u.spec.n * float(np.sum(cell_gradient_norm(u) ** p))
     weighted = integrate(GridFunction(u.spec, V.values * np.abs(u.values) ** p))
-    return float(kinetic + weighted) ** (1.0 / p)
+    return kinetic + weighted
 
 
 def weak_lq_quasinorm(u: GridFunction, q) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .asymptotic import ExponentP, truncate
+from .asymptotic import truncate
 from .compactness import FunctionFamily, ark_check, epsilon_net, kr_report
 from .grid import (
     GridFunction,
@@ -162,11 +162,10 @@ def _build_problem(cfg: dict) -> tuple[Problem, Potential]:
     f = _build_datum(_require(cfg, "datum", "config"), spec)
     solver_block = cfg.get("solver", {})
     _check_keys(solver_block, {"tol_residual", "max_iters", "eps_reg"}, "solver")
-    p = float(_require(cfg, "p", "config"))
     try:
         prob = Problem(
             spec=spec,
-            p=ExponentP(p) if p < 2 else ExponentP(p, degenerate_ok=True),
+            p=float(_require(cfg, "p", "config")),
             V=V,
             f=f,
             eps_reg=solver_block.get("eps_reg"),
@@ -348,9 +347,12 @@ def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
         "family",
     )
     kind = _require(block, "kind", "family")
-    if kind == "translating_bumps":
+    if kind in ("translating_bumps", "fixed_bumps"):
         if spec is None:
-            raise ConfigError("translating_bumps family needs a grid block")
+            raise ConfigError(f"{kind} family needs a grid block")
+        if spec.n != 1:
+            raise ConfigError(f"{kind} family is one-dimensional")
+    if kind == "translating_bumps":
         return translating_bumps(
             spec,
             count=int(block.get("count", 6)),
@@ -359,8 +361,6 @@ def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
             height=float(block.get("height", 2.0)),
         )
     if kind == "fixed_bumps":
-        if spec is None:
-            raise ConfigError("fixed_bumps family needs a grid block")
         centers = block.get("centers", [0.0])
         width = float(block.get("width", 0.5))
         height = float(block.get("height", 1.0))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -171,16 +171,7 @@ def shift_lattice(spec: GridSpec, y) -> tuple[int, ...]:
 def _shifted_values(u: GridFunction, offset: tuple[int, ...]) -> np.ndarray:
     """Samples of ``x -> u(x + y)`` with zero extension outside the box."""
     out = np.zeros(u.spec.shape)
-    src = u.reshaped()
-    m = u.spec.m
-    t_slices, s_slices = [], []
-    for o in offset:
-        t_lo, t_hi = max(0, -o), m - max(0, o)
-        if t_lo >= t_hi:
-            return out.ravel()
-        t_slices.append(slice(t_lo, t_hi))
-        s_slices.append(slice(t_lo + o, t_hi + o))
-    out[tuple(t_slices)] = src[tuple(s_slices)]
+    _shift_add(out, u.reshaped(), offset)
     return out.ravel()
 
 
@@ -191,6 +182,12 @@ def translation_defect(u: GridFunction, y, p) -> float:
         raise ValueError("shift magnitude must stay below the box half-width")
     shifted = _shifted_values(u, offset)
     return lambda_fnorm(GridFunction(u.spec, shifted - u.values), p) ** float(p)
+
+
+def _gradient_magnitude(u: GridFunction) -> GridFunction:
+    """``|grad u|`` at every node, from the nodal gradient."""
+    g = gradient(u)
+    return GridFunction(u.spec, np.sqrt(np.sum(g * g, axis=-1)))
 
 
 def maximal_translation_check(
@@ -214,7 +211,7 @@ def maximal_translation_check(
     y_norm = float(np.linalg.norm(np.asarray(offset) * u.spec.h))
     if y_norm >= u.spec.L:
         raise ValueError("shift magnitude must stay below the box half-width")
-    mg = maximal(gradient(u).magnitude()).values
+    mg = maximal(_gradient_magnitude(u)).values
 
     spec = u.spec
     idx = np.arange(spec.num_nodes) if sample_nodes is None else np.asarray(sample_nodes)
@@ -342,22 +339,11 @@ def ark_check(
         K_grid = [0.5, 1.0, 2.0]
 
     bound = max(
-        lp_norm(f, p) + weak_lq_quasinorm(gradient(f).magnitude(), q)
+        lp_norm(f, p) + weak_lq_quasinorm(_gradient_magnitude(f), q)
         for f in fam.members
     )
     base = kr_report(fam, p, shift_grid, R_grid, K_grid, eps=eps)
-    return FamilyReport(
-        label=fam.label,
-        p=p,
-        size=len(fam),
-        eps=eps,
-        translation_modulus=base.translation_modulus,
-        tails=base.tails,
-        superlevels=base.superlevels,
-        verdicts=base.verdicts,
-        ark_bound=float(bound),
-        ark_q=q,
-    )
+    return replace(base, ark_bound=float(bound), ark_q=q)
 
 
 def epsilon_net(fam: FunctionFamily, p, eps: float) -> list[int]:

@@ -2,13 +2,13 @@
 
 The whole package computes on ``[-L, L]^n`` (n = 1, 2, 3) discretized by
 ``m`` equally spaced nodes per axis.  A :class:`GridFunction` is a flat
-row-major array of nodal samples; a :class:`VectorField` holds one such
-array per axis.  Integrals are tensor-product trapezoid sums, so all
-quadrature weights are positive and one-sided inequality checks stay
-one-sided.  Annulus integrals mask whole nodes (no cell clipping); the
+row-major array of nodal samples; its nodal gradient is an ``(m**n, n)``
+array with one column per axis.  Integrals are tensor-product trapezoid
+sums, so all quadrature weights are positive and one-sided inequality
+checks stay one-sided.  Annulus integrals mask whole nodes (no cell clipping); the
 induced O(h) geometric error is absorbed by report tolerances downstream.
-Cell-centred gradients, which the solver's energy and the energy-norm
-checks share, come from one sparse operator, :func:`cell_gradient_matrix`.
+Cell-centred gradients, which the solver's energy and the energy norm
+share, come from one sparse operator, :func:`cell_gradient_matrix`.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -29,10 +29,10 @@ import scipy.sparse as sp
 __all__ = [
     "GridSpec",
     "GridFunction",
-    "VectorField",
     "sample",
     "gradient",
     "cell_gradient_matrix",
+    "cell_gradient_norm",
     "integrate",
     "annulus_integrate",
     "zero_boundary",
@@ -219,33 +219,6 @@ def _check_same_spec(u: GridFunction, v: GridFunction) -> None:
         raise ValueError(f"grid mismatch: {u.spec.describe()} vs {v.spec.describe()}")
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """One nodal sample array per axis; houses discrete gradients."""
-
-    spec: GridSpec
-    components: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        comps = tuple(_freeze(c) for c in self.components)
-        if len(comps) != self.spec.n:
-            raise ValueError(f"expected {self.spec.n} components, got {len(comps)}")
-        for c in comps:
-            if c.size != self.spec.num_nodes:
-                raise ValueError("component length does not match the grid")
-        object.__setattr__(self, "components", comps)
-
-    def magnitude(self) -> GridFunction:
-        sq = np.zeros(self.spec.num_nodes)
-        for c in self.components:
-            sq += c * c
-        return GridFunction(self.spec, np.sqrt(sq))
-
-    def masked(self, mask: np.ndarray) -> "VectorField":
-        m = np.asarray(mask, dtype=np.float64)
-        return VectorField(self.spec, tuple(c * m for c in self.components))
-
-
 def sample(spec: GridSpec, field: Callable) -> GridFunction:
     """Sample a pointwise function of n scalar coordinates at every node.
 
@@ -285,18 +258,18 @@ def sample(spec: GridSpec, field: Callable) -> GridFunction:
     return GridFunction(spec, vals)
 
 
-def gradient(u: GridFunction) -> VectorField:
+def gradient(u: GridFunction) -> np.ndarray:
     """Nodal gradient: central differences inside, one-sided at the boundary.
 
-    Exact for affine functions, including boundary nodes.
+    A read-only ``(m**n, n)`` array; column ``a`` is the derivative along
+    axis ``a``.  Exact for affine functions, including boundary nodes.
     """
-    arr = u.reshaped()
-    h = u.spec.h
+    comps = np.gradient(u.reshaped(), u.spec.h, edge_order=1)
     if u.spec.n == 1:
-        comps = [np.gradient(arr, h, edge_order=1)]
-    else:
-        comps = list(np.gradient(arr, h, edge_order=1))
-    return VectorField(u.spec, tuple(c.ravel() for c in comps))
+        comps = [comps]
+    g = np.stack([c.ravel() for c in comps], axis=-1)
+    g.flags.writeable = False
+    return g
 
 
 @lru_cache(maxsize=32)
@@ -325,6 +298,12 @@ def cell_gradient_matrix(spec: GridSpec) -> sp.csr_matrix:
     for arr in (G.data, G.indices, G.indptr):
         arr.flags.writeable = False
     return G
+
+
+def cell_gradient_norm(u: GridFunction) -> np.ndarray:
+    """``|G u|`` at every cell centre, G the :func:`cell_gradient_matrix`."""
+    comps = (cell_gradient_matrix(u.spec) @ u.values).reshape(u.spec.n, -1)
+    return np.sqrt(np.sum(comps * comps, axis=0))
 
 
 def integrate(u: GridFunction) -> float:

@@ -13,10 +13,10 @@ truncation level t, radius R and pair k < l:
                        ``T_t(T_a(u) - phi) - T_t(T_a(u))``
 
 Energy norms of truncations (energy, stability and the convergence
-records) take the gradient of ``T_t u`` with the solver's own cell
-gradient G, so they measure the quantity the solver minimizes.  The
-localized identity and the distributional residual keep the nodal
-central difference, with chain-rule masking on the strict set
+records) are :func:`~pschrod.asymptotic.x_norm_p` of ``T_t u``, which
+takes the solver's own cell gradient G, so they measure the quantity the
+solver minimizes.  The localized identity and the distributional residual
+keep the nodal central difference, with chain-rule masking on the strict set
 ``{|u| < a}`` (ties get mask zero).  The infinite limit object is replaced
 by the highest-k solve; all convergence records against it carry the
 caveat "finite-sequence surrogate".
@@ -35,16 +35,15 @@ import numpy as np
 
 from .asymptotic import (
     EstimateReport,
-    ExponentP,
     lambda_dist,
     superlevel_measure,
     tail_lambda,
     truncate,
+    x_norm_p,
 )
 from .grid import (
     GridFunction,
-    VectorField,
-    cell_gradient_matrix,
+    cell_gradient_norm,
     gradient,
     integrate,
     save_grid_function,
@@ -58,7 +57,6 @@ __all__ = [
     "SchemeResult",
     "regularize_datum",
     "mollify_datum",
-    "truncation_xnorm_p",
     "check_energy_estimate",
     "check_tail_bound",
     "check_stability",
@@ -106,34 +104,19 @@ def mollify_datum(f: GridFunction, k: float, width0: float = 0.5) -> GridFunctio
     offsets = np.arange(-taps, taps + 1)
     kernel = 1.0 - np.abs(offsets) * h / delta
     kernel = kernel / kernel.sum()
+    m = f.spec.m
     arr = fk.reshaped()
     for axis in range(f.spec.n):
+        # the centred m values of the full convolution; unlike mode="same"
+        # this stays length m when the kernel is longer than the axis
         arr = np.apply_along_axis(
-            lambda row: np.convolve(row, kernel, mode="same"), axis, arr
+            lambda row: np.convolve(row, kernel)[taps:taps + m], axis, arr
         )
     return GridFunction(f.spec, arr.ravel())
 
 
-def _cell_gradient_norm(v: GridFunction) -> np.ndarray:
-    """``|G v|`` per cell, G the cell gradient of the solver's energy."""
-    comps = (cell_gradient_matrix(v.spec) @ v.values).reshape(v.spec.n, -1)
-    return np.sqrt(np.sum(comps * comps, axis=0))
-
-
-def truncation_xnorm_p(u: GridFunction, V: GridFunction, p: float, t: float) -> float:
-    """p-th power of the energy norm of T_t(u), in the solver's discretization.
-
-    ``h^n sum_cells |G(T_t u)|^p`` with G the cell gradient the solver's
-    energy uses, plus the trapezoid integral of ``V |T_t u|^p``.
-    """
-    tt = truncate(u, t)
-    kinetic = u.spec.h**u.spec.n * float(np.sum(_cell_gradient_norm(tt) ** p))
-    weighted = integrate(GridFunction(u.spec, V.values * np.abs(tt.values) ** p))
-    return kinetic + weighted
-
-
 def _base_context(prob: Problem, **extra) -> dict[str, Any]:
-    ctx = {"p": prob.p.p, "grid": prob.spec.describe()}
+    ctx = {"p": prob.p, "grid": prob.spec.describe()}
     ctx.update(extra)
     return ctx
 
@@ -144,7 +127,7 @@ def check_energy_estimate(
     """``||T_t(u)||_X^p <= t * f_ref_l1`` for the solved u."""
     if not t > 0:
         raise ValueError(f"truncation level must be positive, got {t!r}")
-    lhs = truncation_xnorm_p(res.u, prob.V, prob.p.p, t)
+    lhs = x_norm_p(truncate(res.u, t), prob.V, prob.p)
     rhs = t * f_ref_l1
     return EstimateReport(
         "energy_estimate", lhs, rhs, tol, _base_context(prob, t=t, f_l1=f_ref_l1)
@@ -163,7 +146,7 @@ def check_tail_bound(
     if not 0 < R < prob.spec.L * np.sqrt(prob.spec.n):
         raise ValueError(f"radius R = {R!r} must lie inside the box")
     f_l1 = integrate(prob.f.abs())
-    lhs = tail_lambda(truncate(res.u, t), R, prob.p.p)
+    lhs = tail_lambda(truncate(res.u, t), R, prob.p)
     bad = bad_set_measure(V, prob.spec, R, Vg=prob.V)
     rhs = bad + t * f_l1 / (V.kappa * R**V.gamma)
     return EstimateReport(
@@ -182,13 +165,11 @@ def check_stability(
     ``cp_scale`` rescales the constant; it exists so a deliberately wrong
     constant can be shown to fail (debug hook, default 1).
     """
-    p = prob.p.p
-    if p < 2:
-        raise ValueError("the stability estimate requires p >= 2")
+    p = prob.p
     if not t > 0:
         raise ValueError(f"truncation level must be positive, got {t!r}")
     diff = res_k.u - res_l.u
-    lhs = truncation_xnorm_p(diff, prob.V, p, t)
+    lhs = x_norm_p(truncate(diff, t), prob.V, p)
     c_p = 2.0 ** (p - 2.0) * cp_scale
     rhs = c_p * t * integrate((f_k - f_l).abs())
     return EstimateReport(
@@ -202,7 +183,7 @@ def check_superlevel_bound(
 ) -> EstimateReport:
     """``|{|u| > m}| <= m^(1-p) ||f||_1`` for the solved u."""
     lhs = superlevel_measure(res.u, level)
-    rhs = level ** (1.0 - prob.p.p) * f_ref_l1
+    rhs = level ** (1.0 - prob.p) * f_ref_l1
     return EstimateReport(
         "superlevel_bound", lhs, rhs, tol,
         _base_context(prob, m=level, f_l1=f_ref_l1),
@@ -252,7 +233,7 @@ def identity_defect(
     u = res.u
     big_phi = truncation_perturbation(u, phi, alpha, t)
     supp_ok = bool(np.all(big_phi.values[phi.values == 0.0] == 0.0))
-    grad_ta = gradient(u).masked(np.abs(u.values) < alpha)
+    grad_ta = gradient(u) * (np.abs(u.values) < alpha)[:, None]
     return distributional_residual(truncate(u, alpha), grad_ta, prob, big_phi), supp_ok
 
 
@@ -298,18 +279,19 @@ def estimate_identity_budget(
 
 
 def distributional_residual(
-    u: GridFunction, grad: VectorField, prob: Problem, psi: GridFunction
+    u: GridFunction, grad: np.ndarray, prob: Problem, psi: GridFunction
 ) -> float:
-    """Absolute defect of the distributional equation tested against psi."""
+    """Absolute defect of the distributional equation tested against psi.
+
+    ``grad`` is a nodal gradient of u, laid out as :func:`pschrod.grid.gradient`
+    returns it: shape ``(m**n, n)``.
+    """
     _require_compact_support(psi, "psi")
-    p = prob.p.p
-    flux = pflux(np.stack(grad.components, axis=-1), p)
-    grad_psi = gradient(psi)
-    kin = integrate(
-        GridFunction(
-            u.spec, np.sum(flux * np.stack(grad_psi.components, axis=-1), axis=-1)
-        )
-    )
+    if np.shape(grad) != (u.spec.num_nodes, u.spec.n):
+        raise ValueError(f"gradient must have shape {(u.spec.num_nodes, u.spec.n)}")
+    p = prob.p
+    flux = pflux(grad, p)
+    kin = integrate(GridFunction(u.spec, np.sum(flux * gradient(psi), axis=-1)))
     zero_order = integrate(
         GridFunction(
             u.spec,
@@ -379,7 +361,7 @@ def _solve_one(args):
     f, V_g, p, k, cfg, regularizer = args
     f_k = regularizer(f, k)
     prob = Problem(
-        spec=f.spec, p=ExponentP(p, degenerate_ok=True), V=V_g, f=f_k,
+        spec=f.spec, p=p, V=V_g, f=f_k,
         tol_residual=cfg.tol_residual, max_iters=cfg.max_iters,
     )
     return k, f_k, prob, solve(prob)
@@ -487,12 +469,12 @@ def run_scheme(
         per_alpha = {}
         for alpha in cfg.alpha_grid:
             diff = solutions[k].u - u_ref
-            per_alpha[alpha] = truncation_xnorm_p(diff, V_g, p, alpha)
+            per_alpha[alpha] = x_norm_p(truncate(diff, alpha), V_g, p)
         row["trunc_xnorm_p_to_ref"] = per_alpha
         grad_local = {}
         for alpha in cfg.alpha_grid:
             gap = truncate(solutions[k].u, alpha) - truncate(u_ref, alpha)
-            grad_local[alpha] = float(np.dot(w_sub, _cell_gradient_norm(gap) ** p))
+            grad_local[alpha] = float(np.dot(w_sub, cell_gradient_norm(gap) ** p))
         row["grad_gap_subbox_p"] = grad_local
         conv_rows.append(row)
 

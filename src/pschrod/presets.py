@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .asymptotic import ExponentP
 from .compactness import FunctionFamily
 from .grid import GridFunction, GridSpec, sample, zero_boundary
 from .pipeline import SchemeConfig, SchemeResult, regularize_datum, run_scheme
@@ -122,7 +121,7 @@ def standard_problem_factory(p: float, m: int = 257, L: float = 8.0):
     spec = standard_grid(m=m, L=L)
     V = sample_potential(standard_potential(), spec)
     f = two_bump_datum(spec)
-    prob = Problem(spec=spec, p=ExponentP(p, degenerate_ok=True), V=V, f=f)
+    prob = Problem(spec=spec, p=p, V=V, f=f)
     return prob, f
 
 

@@ -25,14 +25,13 @@ residuals are residuals of the unregularized operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .asymptotic import ExponentP
 from .grid import GridFunction, GridSpec, cell_gradient_matrix
 
 __all__ = [
@@ -91,12 +90,13 @@ def monotonicity_margin(xi, eta, p: float) -> np.ndarray:
 class Problem:
     """Datum, potential and exponent for one discrete energy minimization.
 
-    Requires p >= 2 (the stability theory behind every downstream check is
-    restricted to the degenerate range) and V >= 1 at all nodes.
+    Requires a finite p >= 2 (the stability theory behind every downstream
+    check is restricted to the degenerate range) and V >= 1 at all nodes.
+    ``p`` is stored as a float; anything ``float()`` accepts may be passed.
     """
 
     spec: GridSpec
-    p: ExponentP
+    p: float
     V: GridFunction
     f: GridFunction
     eps_reg: float | None = None
@@ -104,13 +104,13 @@ class Problem:
     max_iters: int = 100
 
     def __post_init__(self):
-        p = self.p if isinstance(self.p, ExponentP) else ExponentP(float(self.p))
-        if p.p < 2:
+        p = float(self.p)
+        if not 2.0 <= p < np.inf:
             raise ValueError(
-                f"p must be >= 2 (existence and stability hold in the degenerate "
-                f"range p >= 2 only), got p = {p.p}"
+                f"p must be finite and p >= 2 (existence and stability hold in the "
+                f"degenerate range p >= 2 only), got p = {p}"
             )
-        object.__setattr__(self, "p", ExponentP(p.p, degenerate_ok=True))
+        object.__setattr__(self, "p", p)
         if self.V.spec != self.spec or self.f.spec != self.spec:
             raise ValueError("V and f must live on the problem grid")
         if float(np.min(self.V.values)) < 1.0:
@@ -171,7 +171,7 @@ def _cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, n
 
 def _energy_arrays(v: np.ndarray, prob: Problem) -> float:
     spec = prob.spec
-    p = prob.p.p
+    p = prob.p
     _, s = _cell_gradient_squared(v, spec)
     kinetic = spec.h**spec.n / p * float(np.sum(s ** (p / 2.0)))
     w = spec.weights()
@@ -183,7 +183,7 @@ def _energy_arrays(v: np.ndarray, prob: Problem) -> float:
 def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
     """Exact gradient of J with respect to all nodal values (full array)."""
     spec = prob.spec
-    p = prob.p.p
+    p = prob.p
     comps, s = _cell_gradient_squared(v, spec)
     weight = s ** ((p - 2.0) / 2.0) if p != 2.0 else np.ones_like(s)
     g = spec.h**spec.n * (cell_gradient_matrix(spec).T @ (weight * comps).ravel())
@@ -196,7 +196,7 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
 def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix:
     """``h^n G_int^T K G_int + diag`` on interior nodes, K the per-cell n x n weights."""
     spec = prob.spec
-    p = prob.p.p
+    p = prob.p
     G_int, G_int_T = _interior_gradient(spec)
     comps, s = _cell_gradient_squared(v, spec)
     s = s + eps * eps
@@ -270,15 +270,7 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
 
 
 def _companion_p2(prob: Problem) -> Problem:
-    return Problem(
-        spec=prob.spec,
-        p=ExponentP(2.0, degenerate_ok=True),
-        V=prob.V,
-        f=prob.f,
-        eps_reg=0.0,
-        tol_residual=prob.tol_residual,
-        max_iters=prob.max_iters,
-    )
+    return replace(prob, p=2.0, eps_reg=0.0)
 
 
 _ARMIJO = 1e-4
@@ -306,7 +298,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
             raise ValueError("initial iterate lives on a different grid")
         v = u0.values.copy()
         v[boundary] = 0.0
-    elif prob.p.p == 2.0:
+    elif prob.p == 2.0:
         v = np.zeros(spec.num_nodes)
     else:
         v = _linear_warm_start(prob)

@@ -10,13 +10,13 @@ depend on the seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotic import (
     ALGEBRAIC_TOL,
-    ExponentP,
     lambda_dist,
     lambda_fnorm,
     truncate,
@@ -40,7 +40,7 @@ from .presets import (
     translating_bumps,
     two_bump_datum,
 )
-from .solver import Problem, monotonicity_margin, solve
+from .solver import monotonicity_margin, solve
 
 __all__ = ["SUITE_NAMES", "run_verify"]
 
@@ -268,10 +268,7 @@ def _suite_uniqueness(rng: np.random.Generator, threads: int) -> dict:
     )
 
     prob, _ = standard_problem_factory(3.0, m=129)
-    prob = Problem(
-        spec=prob.spec, p=ExponentP(3.0, degenerate_ok=True), V=prob.V, f=prob.f,
-        tol_residual=1e-9,
-    )
+    prob = replace(prob, tol_residual=1e-9)
     zero0 = GridFunction(prob.spec, np.zeros(prob.spec.num_nodes))
     rand0 = zero_boundary(
         GridFunction(prob.spec, 0.5 * rng.standard_normal(prob.spec.num_nodes))

@@ -108,6 +108,24 @@ def test_pipeline_halved_constant_fails(tmp_path):
     assert failed and all(r["name"] == "stability" for r in failed)
 
 
+def test_pipeline_mollified_level_below_kernel_reach(tmp_path):
+    # at m = 129 the k = 0.2 kernel (half-width 12.5) is longer than the axis
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {**PIPE, "regularizer": "mollified",
+         "scheme": {**PIPE["scheme"], "k_list": [0.2, 1, 2]}},
+    )
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+    assert load_grid_function(out / "u_k0.2").values.size == 129
+
+
+def test_pipeline_rejects_p_below_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {**PIPE, "p": 1.5})
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "p >= 2" in capsys.readouterr().err
+
+
 def test_pipeline_zero_datum_trivial_pass(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {**PIPE, "datum": {"kind": "zero"}})
     assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -179,6 +197,16 @@ def test_compactness_translates(tmp_path, capsys):
     assert report["verdicts"]["tail"] == "not observed"
     assert "epsilon_net" in report
     assert "not observed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["translating_bumps", "fixed_bumps"])
+def test_compactness_bump_family_needs_1d_grid(tmp_path, capsys, kind):
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {"grid": {"n": 2, "L": 4.0, "m": 17}, "p": 2.0, "family": {"kind": kind}},
+    )
+    assert main(["compactness", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "one-dimensional" in capsys.readouterr().err
 
 
 def test_compactness_solutions_dir_roundtrip(tmp_path):

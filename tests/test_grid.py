@@ -8,6 +8,7 @@ from pschrod.grid import (
     GridSpec,
     annulus_integrate,
     cell_gradient_matrix,
+    cell_gradient_norm,
     gradient,
     integrate,
     load_grid_function,
@@ -90,22 +91,29 @@ def test_sample_propagates_other_errors():
 
 def test_gradient_constant_is_zero():
     u = sample(GridSpec(1, 2.0, 9), lambda x: 7.0 + 0.0 * x)
-    assert np.array_equal(gradient(u).components[0], np.zeros(9))
+    assert np.array_equal(gradient(u)[:, 0], np.zeros(9))
 
 
 def test_gradient_affine_exact_everywhere():
     u = sample(GridSpec(1, 2.0, 9), lambda x: 3.0 * x)
-    assert np.allclose(gradient(u).components[0], 3.0, rtol=0, atol=1e-13)
+    assert np.allclose(gradient(u)[:, 0], 3.0, rtol=0, atol=1e-13)
     v = sample(GridSpec(2, 1.0, 7), lambda x, y: 2.0 * x - 5.0 * y + 1.0)
     g = gradient(v)
-    assert np.allclose(g.components[0], 2.0, rtol=0, atol=1e-12)
-    assert np.allclose(g.components[1], -5.0, rtol=0, atol=1e-12)
+    assert np.allclose(g[:, 0], 2.0, rtol=0, atol=1e-12)
+    assert np.allclose(g[:, 1], -5.0, rtol=0, atol=1e-12)
+
+
+def test_gradient_is_read_only_node_by_axis_array():
+    g = gradient(sample(GridSpec(3, 1.0, 5), lambda x, y, z: x * y + z))
+    assert g.shape == (125, 3)
+    with pytest.raises(ValueError):
+        g[0, 0] = 1.0
 
 
 def test_gradient_quadratic_interior():
     u = sample(GridSpec(1, 1.0, 5), lambda x: x**2)
     # central differences at x = -0.5, 0, 0.5 with h = 0.5
-    assert np.allclose(gradient(u).components[0][1:4], [-1.0, 0.0, 1.0], atol=1e-14)
+    assert np.allclose(gradient(u)[1:4, 0], [-1.0, 0.0, 1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -118,6 +126,8 @@ def test_cell_gradient_exact_on_affine(n):
     comps = (G @ u).reshape(n, -1)
     for a in range(n):
         assert np.allclose(comps[a], coef[a], rtol=0, atol=1e-12)
+    norm = cell_gradient_norm(GridFunction(spec, u))
+    assert np.allclose(norm, np.linalg.norm(coef), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

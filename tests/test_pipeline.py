@@ -68,6 +68,16 @@ def test_mollify_preserves_mass_and_degenerates(rng):
     assert np.array_equal(mollify_datum(f, 8.0).values, regularize_datum(f, 8.0).values)
 
 
+@pytest.mark.parametrize("n, m", [(1, 129), (2, 33)])
+def test_mollify_kernel_longer_than_axis(n, m):
+    # k = 0.2 gives a kernel half-width of 12.5, more than the box width 16
+    spec = GridSpec(n, 8.0, m)
+    f = sample(spec, lambda *x: 12.0 * np.exp(-sum(c * c for c in x)))
+    soft = mollify_datum(f, 0.2)
+    assert soft.values.size == spec.num_nodes
+    assert integrate(soft.abs()) <= integrate(regularize_datum(f, 0.2).abs()) + 1e-12
+
+
 @pytest.fixture(scope="module")
 def small_case():
     spec = GridSpec(1, 8.0, 129)
@@ -234,6 +244,14 @@ def test_distributional_residual_zero_psi(small_case):
     prob, _, res = small_case
     psi = GridFunction(prob.spec, np.zeros(prob.spec.num_nodes))
     assert distributional_residual(res.u, gradient(res.u), prob, psi) == 0.0
+
+
+def test_distributional_residual_rejects_misshaped_gradient(small_case):
+    # a flat (m,) gradient would broadcast against the (m, 1) test gradient
+    prob, _, res = small_case
+    psi = zero_boundary(sample(prob.spec, bump(0.5, 0.7, 1.0)))
+    with pytest.raises(ValueError, match="shape"):
+        distributional_residual(res.u, gradient(res.u).ravel(), prob, psi)
 
 
 def test_distributional_residual_linear_in_psi(small_case):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pschrod.asymptotic import ExponentP, lp_norm, x_norm
-from pschrod.grid import GridFunction, GridSpec, gradient, integrate, sample, zero_boundary
+from pschrod.asymptotic import ExponentP, lp_norm, x_norm_p
+from pschrod.grid import GridFunction, GridSpec, integrate, sample, zero_boundary
 from pschrod.presets import (
     manufactured_p2_datum,
     manufactured_p2_solution,
@@ -24,12 +24,24 @@ def make_problem(p=2.0, m=65, L=8.0, V_field=None, f_field=None, **kwargs):
     spec = GridSpec(1, L, m)
     V = sample(spec, V_field or (lambda x: 1.0 + 0.0 * x))
     f = sample(spec, f_field or (lambda x: np.exp(-(x**2))))
-    return Problem(spec=spec, p=ExponentP(p, degenerate_ok=True), V=V, f=f, **kwargs)
+    return Problem(spec=spec, p=p, V=V, f=f, **kwargs)
 
 
 def test_problem_rejects_small_p():
     with pytest.raises(ValueError, match="p >= 2"):
         make_problem(p=1.5)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf])
+def test_problem_rejects_nan_and_inf_p(p):
+    with pytest.raises(ValueError, match="p >= 2"):
+        make_problem(p=p)
+
+
+def test_problem_stores_p_as_float():
+    assert type(make_problem(p=3).p) is float
+    prob = make_problem(p=ExponentP(3.0, degenerate_ok=True))
+    assert prob.p == 3.0 and type(prob.p) is float
 
 
 def test_problem_rejects_small_potential():
@@ -66,10 +78,22 @@ def test_energy_terms_linear_profile():
     v = sample(spec, lambda x: x)
     V = sample(spec, lambda x: 1.0 + 0.0 * x)
     f = sample(spec, lambda x: 1.0 + 0.0 * x)
-    total = 0.5 * x_norm(v, gradient(v), V, 2.0) ** 2 - integrate(
+    total = 0.5 * x_norm_p(v, V, 2.0) - integrate(
         GridFunction(spec, f.values * v.values)
     )
     assert total == pytest.approx(4.0 / 3.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_energy_is_x_norm_p_over_p_minus_source(p, rng):
+    # the solver's energy and the checks' X-norm share one discretization
+    spec = GridSpec(2, 2.0, 17)
+    V = sample(spec, lambda x, y: 1.0 + x**2 + y**2)
+    f = sample(spec, lambda x, y: np.exp(-(x**2) - 2.0 * y**2))
+    prob = Problem(spec=spec, p=p, V=V, f=f)
+    v = zero_boundary(GridFunction(spec, rng.standard_normal(spec.num_nodes)))
+    expected = x_norm_p(v, V, p) / p - integrate(GridFunction(spec, f.values * v.values))
+    assert energy(v, prob) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
