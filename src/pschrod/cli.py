@@ -66,13 +66,34 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _number(value, what: str, kind=float):
+    """``kind(value)``; a config value that is not a number is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _optional_number(block: dict, key: str, where: str) -> float | None:
+    """``block[key]`` as a float, or None when it is absent or null."""
+    value = block.get(key)
+    return None if value is None else _number(value, f"{where} {key}")
+
+
+def _numbers(values, what: str) -> list[float]:
+    """A config list of numbers as floats."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return [_number(v, f"{what} entry") for v in values]
+
+
 def _build_grid(block: dict) -> GridSpec:
     _check_keys(block, {"n", "L", "m"}, "grid")
     try:
         return GridSpec(
-            n=int(_require(block, "n", "grid")),
-            L=float(_require(block, "L", "grid")),
-            m=int(_require(block, "m", "grid")),
+            n=_number(_require(block, "n", "grid"), "grid n", int),
+            L=_number(_require(block, "L", "grid"), "grid L"),
+            m=_number(_require(block, "m", "grid"), "grid m", int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -82,11 +103,11 @@ def _build_potential(block: dict, need_pair: bool = False) -> Potential:
     _check_keys(block, {"kind", "gamma", "value", "kappa"}, "potential")
     kind = _require(block, "kind", "potential")
     if kind == "polynomial_trap":
-        pot = polynomial_trap(gamma=float(_require(block, "gamma", "potential")))
+        pot = polynomial_trap(gamma=_number(_require(block, "gamma", "potential"), "gamma"))
     elif kind == "sparse_wells":
-        pot = sparse_wells(gamma=float(_require(block, "gamma", "potential")))
+        pot = sparse_wells(gamma=_number(_require(block, "gamma", "potential"), "gamma"))
     elif kind == "constant":
-        value = float(block.get("value", 1.0))
+        value = _number(block.get("value", 1.0), "potential value")
         if value < 1.0:
             raise ConfigError("constant potential must be >= 1")
         if need_pair and ("kappa" not in block or "gamma" not in block):
@@ -100,25 +121,25 @@ def _build_potential(block: dict, need_pair: bool = False) -> Potential:
 
         pot = Potential(
             evaluator,
-            kappa=float(block.get("kappa", 1.0)),
-            gamma=float(block.get("gamma", 1.0)),
+            kappa=_number(block.get("kappa", 1.0), "kappa"),
+            gamma=_number(block.get("gamma", 1.0), "gamma"),
             label=f"constant({value:g})",
         )
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")
     if "kappa" in block and kind != "constant":
-        pot = pot.with_pair(float(block["kappa"]), pot.gamma)
+        pot = pot.with_pair(_number(block["kappa"], "kappa"), pot.gamma)
     return pot
 
 
 def _gaussian_term(block: dict, n: int):
     _check_keys(block, {"center", "width", "height"}, "datum term")
     center = block.get("center", 0.0)
-    center = [float(c) for c in (center if isinstance(center, list) else [center])]
+    center = _numbers(center if isinstance(center, list) else [center], "datum center")
     if len(center) != n:
         raise ConfigError(f"datum center must have {n} components")
-    width = float(_require(block, "width", "datum term"))
-    height = float(_require(block, "height", "datum term"))
+    width = _number(_require(block, "width", "datum term"), "datum width")
+    height = _number(_require(block, "height", "datum term"), "datum height")
 
     def term(*coords):
         d2 = sum((np.asarray(c, dtype=float) - c0) ** 2 for c, c0 in zip(coords, center))
@@ -133,7 +154,8 @@ def _build_datum(block: dict, spec: GridSpec) -> GridFunction:
     if kind == "zero":
         return GridFunction(spec, np.zeros(spec.num_nodes))
     if kind == "constant":
-        return GridFunction(spec, np.full(spec.num_nodes, float(block.get("value", 0.0))))
+        value = _number(block.get("value", 0.0), "datum value")
+        return GridFunction(spec, np.full(spec.num_nodes, value))
     if kind == "gaussian":
         term = {key: val for key, val in block.items() if key != "kind"}
         return sample(spec, _gaussian_term(term, spec.n))
@@ -165,12 +187,12 @@ def _build_problem(cfg: dict) -> tuple[Problem, Potential]:
     try:
         prob = Problem(
             spec=spec,
-            p=float(_require(cfg, "p", "config")),
+            p=_number(_require(cfg, "p", "config"), "p"),
             V=V,
             f=f,
-            eps_reg=solver_block.get("eps_reg"),
-            tol_residual=solver_block.get("tol_residual"),
-            max_iters=int(solver_block.get("max_iters", 100)),
+            eps_reg=_optional_number(solver_block, "eps_reg", "solver"),
+            tol_residual=_optional_number(solver_block, "tol_residual", "solver"),
+            max_iters=_number(solver_block.get("max_iters", 100), "solver max_iters", int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -247,7 +269,7 @@ def cmd_pipeline(args) -> int:
     spec = _build_grid(_require(cfg, "grid", "config"))
     pot = _build_potential(_require(cfg, "potential", "config"))
     f = _build_datum(_require(cfg, "datum", "config"), spec)
-    p = float(_require(cfg, "p", "config"))
+    p = _number(_require(cfg, "p", "config"), "p")
 
     scheme_block = dict(_require(cfg, "scheme", "config"))
     _check_keys(
@@ -262,15 +284,17 @@ def cmd_pipeline(args) -> int:
         scheme_block["tol"] = args.tol
     try:
         scheme_cfg = SchemeConfig(
-            k_list=tuple(_require(scheme_block, "k_list", "scheme")),
-            t_grid=tuple(_require(scheme_block, "t_grid", "scheme")),
-            alpha_grid=tuple(scheme_block.get("alpha_grid", (0.5, 1.0))),
-            R_grid=tuple(scheme_block.get("R_grid", (2.0, 4.0, 6.0))),
-            eps_grid=tuple(scheme_block.get("eps_grid", (0.1, 0.5, 1.0))),
-            tol=float(scheme_block.get("tol", 0.05)),
-            tol_residual=scheme_block.get("tol_residual"),
-            max_iters=int(scheme_block.get("max_iters", 100)),
-            stability_cp_scale=float(debug_block.get("stability_cp_scale", 1.0)),
+            k_list=_numbers(_require(scheme_block, "k_list", "scheme"), "k_list"),
+            t_grid=_numbers(_require(scheme_block, "t_grid", "scheme"), "t_grid"),
+            alpha_grid=_numbers(scheme_block.get("alpha_grid", (0.5, 1.0)), "alpha_grid"),
+            R_grid=_numbers(scheme_block.get("R_grid", (2.0, 4.0, 6.0)), "R_grid"),
+            eps_grid=_numbers(scheme_block.get("eps_grid", (0.1, 0.5, 1.0)), "eps_grid"),
+            tol=_number(scheme_block.get("tol", 0.05), "scheme tol"),
+            tol_residual=_optional_number(scheme_block, "tol_residual", "scheme"),
+            max_iters=_number(scheme_block.get("max_iters", 100), "scheme max_iters", int),
+            stability_cp_scale=_number(
+                debug_block.get("stability_cp_scale", 1.0), "stability_cp_scale"
+            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -307,7 +331,7 @@ def cmd_confinement(args) -> int:
     _check_keys(cfg, {"grid", "potential", "R_grid", "mc", "out"}, "config")
     spec = _build_grid(_require(cfg, "grid", "config"))
     pot = _build_potential(_require(cfg, "potential", "config"), need_pair=True)
-    R_grid = [float(R) for R in _require(cfg, "R_grid", "config")]
+    R_grid = _numbers(_require(cfg, "R_grid", "config"), "R_grid")
     try:
         report = confinement_report(pot, spec, R_grid)
     except ValueError as exc:
@@ -319,10 +343,9 @@ def cmd_confinement(args) -> int:
     if mc_block:
         if args.seed is None:
             raise ConfigError("Monte Carlo cross-check needs --seed")
+        samples = _number(mc_block.get("samples", 100000), "mc samples", int)
         payload["monte_carlo"] = {
-            f"{R:g}": bad_set_measure_mc(
-                pot, spec, R, int(mc_block.get("samples", 100000)), args.seed
-            )
+            f"{R:g}": bad_set_measure_mc(pot, spec, R, samples, args.seed)
             for R in R_grid
         }
 
@@ -355,16 +378,16 @@ def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
     if kind == "translating_bumps":
         return translating_bumps(
             spec,
-            count=int(block.get("count", 6)),
-            spacing=float(block.get("spacing", 1.0)),
-            width=float(block.get("width", 0.5)),
-            height=float(block.get("height", 2.0)),
+            count=_number(block.get("count", 6), "family count", int),
+            spacing=_number(block.get("spacing", 1.0), "family spacing"),
+            width=_number(block.get("width", 0.5), "family width"),
+            height=_number(block.get("height", 2.0), "family height"),
         )
     if kind == "fixed_bumps":
-        centers = block.get("centers", [0.0])
-        width = float(block.get("width", 0.5))
-        height = float(block.get("height", 1.0))
-        members = tuple(sample(spec, bump(float(c), width, height)) for c in centers)
+        centers = _numbers(block.get("centers", [0.0]), "family centers")
+        width = _number(block.get("width", 0.5), "family width")
+        height = _number(block.get("height", 1.0), "family height")
+        members = tuple(sample(spec, bump(c, width, height)) for c in centers)
         return FunctionFamily(members, label="fixed bumps")
     if kind == "solutions_dir":
         directory = Path(_require(block, "dir", "family"))
@@ -375,7 +398,7 @@ def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
         members = [load_grid_function(b) for b in bases]
         level = block.get("truncation")
         if level is not None:
-            members = [truncate(u, float(level)) for u in members]
+            members = [truncate(u, _number(level, "truncation")) for u in members]
         return FunctionFamily(tuple(members), label=f"files:{directory.name}")
     raise ConfigError(f"unknown family kind {kind!r}")
 
@@ -392,27 +415,30 @@ def cmd_compactness(args) -> int:
     spec = _build_grid(cfg["grid"]) if "grid" in cfg else None
     fam = _build_family(_require(cfg, "family", "config"), spec)
     spec = fam.spec
-    p = float(_require(cfg, "p", "config"))
-    eps = float(cfg.get("eps", 0.1))
-    shift_grid = cfg.get("shift_grid", [spec.h, 2 * spec.h])
-    R_grid = cfg.get("R_grid", [spec.L / 4.0, spec.L / 2.0, 3.0 * spec.L / 4.0])
-    K_grid = cfg.get("K_grid", [0.5, 1.0, 2.0])
+    p = _number(_require(cfg, "p", "config"), "p")
+    eps = _number(cfg.get("eps", 0.1), "eps")
+    shift_grid = _numbers(cfg.get("shift_grid", [spec.h, 2 * spec.h]), "shift_grid")
+    R_grid = _numbers(
+        cfg.get("R_grid", [spec.L / 4.0, spec.L / 2.0, 3.0 * spec.L / 4.0]), "R_grid"
+    )
+    K_grid = _numbers(cfg.get("K_grid", [0.5, 1.0, 2.0]), "K_grid")
     mode = cfg.get("mode", "ark")
 
     if mode == "kr":
         report = kr_report(fam, p, shift_grid, R_grid, K_grid, eps=eps)
     elif mode == "ark":
         report = ark_check(
-            fam, p, cfg.get("q"), shift_grid=shift_grid, R_grid=R_grid,
-            K_grid=K_grid, eps=eps,
+            fam, p, _optional_number(cfg, "q", "config"), shift_grid=shift_grid,
+            R_grid=R_grid, K_grid=K_grid, eps=eps,
         )
     else:
         raise ConfigError(f"unknown mode {mode!r} (use 'kr' or 'ark')")
 
-    net = epsilon_net(fam, p, float(cfg.get("net_eps", eps)))
+    net_eps = _number(cfg.get("net_eps", eps), "net_eps")
+    net = epsilon_net(fam, p, net_eps)
     out = _outdir(args, cfg)
     payload = report.to_dict()
-    payload["epsilon_net"] = {"eps": float(cfg.get("net_eps", eps)),
+    payload["epsilon_net"] = {"eps": net_eps,
                               "indices": list(map(int, net))}
     write_json(out / "family_report.json", payload)
     _write_manifest(out, cfg, args, started)

@@ -15,12 +15,15 @@ Euler-Lagrange residual returned by :func:`residual` is the exact gradient
 of J with respect to interior nodal values divided by the node weight.
 
 The minimizer is found by damped Newton with backtracking line search.
-The Newton system uses a Hessian regularized at gradient level eps (the
-p-Laplacian Hessian degenerates where the gradient vanishes for p > 2),
-but the step direction is computed against the exact gradient of J and the
-line search enforces monotone decrease of the exact J, so the iteration
-converges to the minimizer of the unregularized energy and all reported
-residuals are residuals of the unregularized operator.
+Each Newton system is solved by conjugate gradients preconditioned with
+exact solves on the grid lines along the last axis (see
+:func:`_newton_solve`).  The Newton system uses a Hessian regularized at
+gradient level eps (the p-Laplacian Hessian degenerates where the
+gradient vanishes for p > 2), but the step direction is computed against
+the exact gradient of J and the line search enforces monotone decrease of
+the exact J, so the iteration converges to the minimizer of the
+unregularized energy and all reported residuals are residuals of the
+unregularized operator.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .grid import GridFunction, GridSpec, cell_gradient_matrix
 
@@ -133,7 +137,13 @@ class Problem:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Minimizer with convergence diagnostics; boundary nodes are exactly 0."""
+    """Minimizer with convergence diagnostics; boundary nodes are exactly 0.
+
+    ``linear_iterations`` holds the conjugate-gradient iteration count of
+    each Newton system solved, in order: one per accepted step, plus one
+    for a final step the line search rejected.  The linear warm start is
+    not included.
+    """
 
     u: GridFunction
     iterations: int
@@ -141,6 +151,7 @@ class SolveResult:
     energy: float
     energy_trace: tuple[float, ...]
     converged: bool
+    linear_iterations: tuple[int, ...]
 
     def diagnostics(self) -> dict:
         return {
@@ -149,6 +160,7 @@ class SolveResult:
             "energy": self.energy,
             "energy_trace": list(self.energy_trace),
             "converged": self.converged,
+            "linear_iterations": list(self.linear_iterations),
         }
 
 
@@ -226,6 +238,53 @@ def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix
 
 
 # ---------------------------------------------------------------------------
+# the Newton system
+
+_CG_RTOL = 1e-10
+
+
+def _line_band(H: sp.csr_matrix, m: int) -> np.ndarray:
+    """H restricted to the grid lines along the last axis, in upper banded form.
+
+    Interior nodes are numbered with the last axis fastest, so each line is
+    a run of ``m - 2`` consecutive unknowns.  The stencil couples only nodes
+    that share a cell, so H on one line is tridiagonal; the superdiagonal
+    entry that would couple the last node of a line to the first of the
+    next is zeroed, which leaves exactly the line blocks.
+    """
+    band = np.zeros((2, H.shape[0]))
+    band[1] = H.diagonal()
+    band[0, 1:] = H.diagonal(1)
+    band[0, ::m - 2] = 0.0
+    return band
+
+
+def _newton_solve(H: sp.csr_matrix, rhs: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """Solve the SPD system ``H x = rhs`` on interior nodes; return x and the CG count.
+
+    Conjugate gradients from x = 0 to relative residual ``_CG_RTOL``,
+    preconditioned with the Cholesky factor of the line blocks of H
+    (:func:`_line_band`; each block is a principal submatrix of H, hence
+    SPD).  In 1D the one line is all of H and a single step is exact.  Every
+    CG iterate started from 0 is a descent direction for a Newton system
+    with rhs = -gradient.
+    """
+    factor = (cholesky_banded(_line_band(H, m)), False)
+    precondition = spla.LinearOperator(
+        H.shape, matvec=lambda r: cho_solve_banded(factor, r), dtype=np.float64
+    )
+    count = 0
+
+    def counted(_):
+        nonlocal count
+        count += 1
+
+    x, _ = spla.cg(H, rhs, x0=np.zeros_like(rhs), rtol=_CG_RTOL, atol=0.0,
+                   M=precondition, callback=counted)
+    return x, count
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -265,7 +324,7 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
     v0 = np.zeros(spec.num_nodes)
     H = _hessian_interior(v0, _companion_p2(prob), 0.0)
     rhs = (spec.weights() * prob.f.values)[interior]
-    v0[interior] = spla.spsolve(H, rhs)
+    v0[interior], _ = _newton_solve(H, rhs, spec.m)
     return v0
 
 
@@ -306,6 +365,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     eps = max(prob.eps_reg, 1e-30)
     trace = [_energy_arrays(v, prob)]
     iterations = 0
+    linear_iterations = []
     polish_left = _POLISH_STEPS
     polish_prev = np.inf
     converged = False
@@ -327,7 +387,8 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
 
         H = _hessian_interior(v, prob, eps)
         g_int = g[interior]
-        d_int = spla.spsolve(H, -g_int)
+        d_int, cg_steps = _newton_solve(H, -g_int, spec.m)
+        linear_iterations.append(cg_steps)
         step = np.zeros_like(v)
         step[interior] = d_int
         slope = float(np.dot(g_int, d_int))
@@ -364,4 +425,5 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         energy=trace[-1],
         energy_trace=tuple(trace),
         converged=converged,
+        linear_iterations=tuple(linear_iterations),
     )

@@ -126,6 +126,32 @@ def test_pipeline_rejects_p_below_two(tmp_path, capsys):
     assert "p >= 2" in capsys.readouterr().err
 
 
+COMPACT = {
+    "grid": {"n": 1, "L": 8.0, "m": 129},
+    "p": 2.0,
+    "family": {"kind": "translating_bumps", "count": 3},
+}
+GAUSSIAN = {"kind": "gaussian", "center": 0.0, "width": 1.0, "height": 2.0}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("pipeline", {**PIPE, "p": "x"}),
+        ("compactness", {**COMPACT, "p": "x"}),
+        ("pipeline", {**PIPE, "potential": {"kind": "polynomial_trap", "gamma": "x"}}),
+        ("pipeline", {**PIPE, "datum": {**GAUSSIAN, "width": "x"}}),
+        ("pipeline", {**PIPE, "datum": {**GAUSSIAN, "height": "x"}}),
+        ("pipeline", {**PIPE, "p": None}),
+    ],
+    ids=["pipeline-p", "compactness-p", "gamma", "width", "height", "p-null"],
+)
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
 def test_pipeline_zero_datum_trivial_pass(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {**PIPE, "datum": {"kind": "zero"}})
     assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

@@ -155,7 +155,7 @@ def test_tail_bound_zero_for_compact_support(small_case):
     compact = SolveResult(
         u=zero_boundary(GridFunction(prob.spec, vals)),
         iterations=0, residual_sup=0.0, energy=0.0, energy_trace=(0.0,),
-        converged=True,
+        converged=True, linear_iterations=(),
     )
     rep = check_tail_bound(compact, prob, pot, t=1.0, R=7.5)
     assert rep.lhs == 0.0 and rep.passed

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from pschrod.asymptotic import ExponentP, lp_norm, x_norm_p
 from pschrod.grid import GridFunction, GridSpec, integrate, sample, zero_boundary
@@ -13,6 +14,8 @@ from pschrod.solver import (
     Problem,
     _gradient_arrays,
     _hessian_interior,
+    _line_band,
+    _newton_solve,
     energy,
     monotonicity_margin,
     residual,
@@ -133,14 +136,19 @@ def test_residual_is_exact_energy_gradient(p, rng):
         assert fd == pytest.approx(pairing, rel=1e-6, abs=1e-10)
 
 
-@pytest.mark.parametrize("n, m", [(2, 7), (3, 5)])
-@pytest.mark.parametrize("p, eps", [(2.0, 0.0), (3.0, 1e-12)])
-def test_hessian_matches_finite_difference_of_gradient(n, m, p, eps, rng):
+def _trap_problem(n, m, p):
     spec = GridSpec(n, 2.0, m)
     x = spec.node_coords()
     V = GridFunction(spec, 1.0 + np.sum(x**2, axis=1))
     f = GridFunction(spec, np.exp(-np.sum((x - 0.3) ** 2, axis=1)))
-    prob = Problem(spec=spec, p=ExponentP(p, degenerate_ok=True), V=V, f=f)
+    return Problem(spec=spec, p=p, V=V, f=f)
+
+
+@pytest.mark.parametrize("n, m", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("p, eps", [(2.0, 0.0), (3.0, 1e-12)])
+def test_hessian_matches_finite_difference_of_gradient(n, m, p, eps, rng):
+    prob = _trap_problem(n, m, p)
+    spec = prob.spec
     interior = np.flatnonzero(~spec.boundary_mask())
     v = np.zeros(spec.num_nodes)
     v[interior] = rng.standard_normal(interior.size)
@@ -256,6 +264,75 @@ def test_solve_2d_smoke():
     assert res.converged
     assert res.residual_sup <= prob.tol_residual
     assert np.all(res.u.values[spec.boundary_mask()] == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 5, 17])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_newton_solve_matches_direct_solve(n, m, p, rng):
+    prob = _trap_problem(n, m, p)
+    spec = prob.spec
+    v = np.zeros(spec.num_nodes)
+    if p == 2.0:
+        # the p = 2, eps = 0 matrix of the linear warm start
+        eps = 0.0
+    else:
+        eps = prob.eps_reg
+        v[~spec.boundary_mask()] = rng.standard_normal(int(np.sum(~spec.boundary_mask())))
+    H = _hessian_interior(v, prob, eps)
+    rhs = rng.standard_normal(H.shape[0])
+    x, count = _newton_solve(H, rhs, m)
+    exact = spla.spsolve(H.tocsc(), rhs)
+    assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
+    if n == 1:
+        assert count == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_line_band_is_the_line_blocks_of_the_hessian(n, rng):
+    # at m = 4 each line holds 2 unknowns, and the last node of one line and
+    # the first of the next share a cell, so H couples them across the break
+    m = 4
+    prob = _trap_problem(n, m, 3.0)
+    interior = ~prob.spec.boundary_mask()
+    v = np.zeros(prob.spec.num_nodes)
+    v[interior] = rng.standard_normal(int(np.sum(interior)))
+    H = _hessian_interior(v, prob, prob.eps_reg)
+    band = _line_band(H, m)
+    dense = H.toarray()
+    line = np.arange(dense.shape[0]) // (m - 2)
+    breaks = line[1:] != line[:-1]
+    upper = dense.diagonal(1)
+    assert np.all(upper[breaks] != 0.0)
+    assert np.array_equal(band[1], dense.diagonal())
+    assert np.array_equal(band[0, 1:], np.where(breaks, 0.0, upper))
+    assert band[0, 0] == 0.0
+
+
+def test_1d_newton_steps_take_one_cg_iteration():
+    prob, _ = standard_problem_factory(3.0, m=129)
+    res = solve(prob)
+    assert res.converged
+    assert res.linear_iterations == (1,) * res.iterations
+    assert res.diagnostics()["linear_iterations"] == [1] * res.iterations
+
+
+def test_solve_3d_m25_matches_direct_solve_reference():
+    # the 3D benchmark trap and datum at m = 25; the sparse direct solve took
+    # 12 Newton steps to the energy below
+    spec = GridSpec(3, 6.0, 25)
+    x = spec.node_coords()
+    V = GridFunction(spec, 1.0 + np.sum(x**2, axis=1))
+    f = GridFunction(
+        spec,
+        12.0 * np.exp(-np.sum((x - [-2.0, 0.0, 0.0]) ** 2, axis=1) / 0.64)
+        + 4.0 * np.exp(-np.sum((x - [2.0, 1.0, -1.0]) ** 2, axis=1)),
+    )
+    res = solve(Problem(spec=spec, p=3.0, V=V, f=f))
+    assert res.converged
+    assert res.iterations == 12
+    assert res.energy == pytest.approx(-22.16469913622148, rel=1e-12)
+    assert len(res.linear_iterations) == res.iterations
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
