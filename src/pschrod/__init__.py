@@ -17,6 +17,7 @@ from .asymptotic import (
     ExponentP,
     lambda_dist,
     lambda_fnorm,
+    lambda_fnorm_rows,
     lp_norm,
     superlevel_measure,
     tail_lambda,

@@ -27,6 +27,7 @@ __all__ = [
     "truncate",
     "lp_norm",
     "lambda_fnorm",
+    "lambda_fnorm_rows",
     "lambda_dist",
     "x_norm_p",
     "weak_lq_quasinorm",
@@ -131,24 +132,30 @@ def truncate(u: GridFunction, t: float) -> GridFunction:
 def lp_norm(u: GridFunction, p) -> float:
     """Plain quadrature Lp norm ``(integral |u|^p)^(1/p)``."""
     p = _as_p(p)
-    return float(integrate(_powabs(u, p))) ** (1.0 / p)
+    return float(integrate(GridFunction(u.spec, np.abs(u.values) ** p))) ** (1.0 / p)
 
 
-def _powabs(u: GridFunction, p: float) -> GridFunction:
-    return GridFunction(u.spec, np.abs(u.values) ** p)
+def lambda_fnorm_rows(values: np.ndarray, weights: np.ndarray, p) -> np.ndarray:
+    """F-norm ``(min(|x|, 1)^p @ weights)^(1/p)`` of each row of ``(..., num_nodes)`` values.
+
+    ``weights`` are the grid's quadrature weights; one row gives :func:`lambda_fnorm`.
+    """
+    p = _as_p(p)
+    clipped = np.abs(values)
+    np.minimum(clipped, 1.0, out=clipped)
+    clipped **= p
+    return (clipped @ weights) ** (1.0 / p)
 
 
 def lambda_fnorm(u: GridFunction, p) -> float:
     """F-norm of the asymptotic space: ``(integral min(|u|,1)^p)^(1/p)``."""
-    p = _as_p(p)
-    clipped = np.minimum(np.abs(u.values), 1.0) ** p
-    return float(integrate(GridFunction(u.spec, clipped))) ** (1.0 / p)
+    return float(lambda_fnorm_rows(u.values, u.spec.weights(), p))
 
 
 def lambda_dist(u: GridFunction, v: GridFunction, p) -> float:
     """Translation-invariant metric ``d(u, v) = ||min(|u - v|, 1)||_p``."""
     _check_same_spec(u, v)
-    return lambda_fnorm(u - v, p)
+    return float(lambda_fnorm_rows(u.values - v.values, u.spec.weights(), p))
 
 
 def x_norm_p(u: GridFunction, V: GridFunction, p) -> float:

@@ -423,19 +423,21 @@ def cmd_compactness(args) -> int:
     )
     K_grid = _numbers(cfg.get("K_grid", [0.5, 1.0, 2.0]), "K_grid")
     mode = cfg.get("mode", "ark")
-
-    if mode == "kr":
-        report = kr_report(fam, p, shift_grid, R_grid, K_grid, eps=eps)
-    elif mode == "ark":
-        report = ark_check(
-            fam, p, _optional_number(cfg, "q", "config"), shift_grid=shift_grid,
-            R_grid=R_grid, K_grid=K_grid, eps=eps,
-        )
-    else:
-        raise ConfigError(f"unknown mode {mode!r} (use 'kr' or 'ark')")
-
     net_eps = _number(cfg.get("net_eps", eps), "net_eps")
-    net = epsilon_net(fam, p, net_eps)
+
+    try:
+        if mode == "kr":
+            report = kr_report(fam, p, shift_grid, R_grid, K_grid, eps=eps)
+        elif mode == "ark":
+            report = ark_check(
+                fam, p, _optional_number(cfg, "q", "config"), shift_grid=shift_grid,
+                R_grid=R_grid, K_grid=K_grid, eps=eps,
+            )
+        else:
+            raise ConfigError(f"unknown mode {mode!r} (use 'kr' or 'ark')")
+        net = epsilon_net(fam, p, net_eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args, cfg)
     payload = report.to_dict()
     payload["epsilon_net"] = {"eps": net_eps,

@@ -109,10 +109,6 @@ def polynomial_trap(gamma: float) -> Potential:
                      label=f"polynomial_trap(gamma={gamma:g})")
 
 
-def _well_center(k: int, n: int) -> tuple[float, ...]:
-    return (float(2**k),) + (0.0,) * (n - 1)
-
-
 def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
     """Trap with wells: V = 1 on balls ``B(2^k e1, 2^(-2k))``, else 1 + |x|^gamma.
 
@@ -128,13 +124,21 @@ def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
         arrs = [np.asarray(c, dtype=np.float64) for c in coords]
         r2 = sum(a**2 for a in arrs)
         background = 1.0 + r2 ** (gamma / 2.0)
-        in_well = np.zeros(np.shape(background), dtype=bool)
-        for k in range(1, k_max + 1):
-            d2 = (arrs[0] - 2.0**k) ** 2
-            for a in arrs[1:]:
-                d2 = d2 + a**2
-            in_well |= d2 < (2.0 ** (-2 * k)) ** 2
-        return np.where(in_well, 1.0, background)
+        # The wells are disjoint, so only the one nearest on a log2 scale,
+        # k = min(rint(log2(max(x0, 2))), k_max), can hold a point.  d2 and the
+        # squared radius are the float values a test of every well computes.
+        k = np.maximum(arrs[0], 2.0, out=np.asarray(r2))
+        np.log2(k, out=k)
+        np.rint(k, out=k)
+        np.minimum(k, k_max, out=k)
+        d2 = np.exp2(k, out=np.empty_like(k))
+        np.subtract(arrs[0], d2, out=d2)
+        np.square(d2, out=d2)
+        for a in arrs[1:]:
+            d2 += a**2
+        k *= -4.0
+        np.exp2(k, out=k)
+        return np.where(d2 < k, 1.0, background)
 
     # metadata only covers wells a desk-scale box can possibly see
     ks = range(1, 41)
@@ -143,7 +147,7 @@ def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
         kappa=1.0,
         gamma=gamma,
         label=f"sparse_wells(gamma={gamma:g})",
-        well_centers=tuple(_well_center(k, 1) for k in ks),
+        well_centers=tuple((2.0**k,) for k in ks),
         well_radii=tuple(2.0 ** (-2 * k) for k in ks),
     )
 

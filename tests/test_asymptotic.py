@@ -8,6 +8,7 @@ from pschrod.asymptotic import (
     ExponentP,
     lambda_dist,
     lambda_fnorm,
+    lambda_fnorm_rows,
     lp_norm,
     superlevel_measure,
     tail_lambda,
@@ -89,6 +90,29 @@ def test_dist_axioms(rng):
     assert lambda_dist(u + w, v + w, 2.0) == pytest.approx(
         lambda_dist(u, v, 2.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_fnorm_rows_matches_per_row_dist(rng, p):
+    spec = GridSpec(1, 4.0, 129)
+    u, v = 3.0 * rng.standard_normal((2, 50, 129))
+    rows = lambda_fnorm_rows(u - v, spec.weights(), p)
+    assert rows.shape == (50,)
+    loop = np.array([
+        lambda_dist(GridFunction(spec, a), GridFunction(spec, b), p) for a, b in zip(u, v)
+    ])
+    assert np.max(np.abs(rows - loop) / loop) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_fnorm_rows_single_row_bit_identical(rng, p):
+    spec = GridSpec(1, 4.0, 129)
+    x = 3.0 * rng.standard_normal(129)
+    w = spec.weights()
+    clipped = np.minimum(np.abs(x), 1.0) ** p
+    expected = float(np.dot(w, clipped)) ** (1.0 / p)
+    assert float(lambda_fnorm_rows(x, w, p)) == expected
+    assert lambda_fnorm(GridFunction(spec, x), p) == expected
 
 
 def test_dist_spec_mismatch():

@@ -235,6 +235,17 @@ def test_compactness_bump_family_needs_1d_grid(tmp_path, capsys, kind):
     assert "one-dimensional" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [{"q": 0.5}, {"p": 0.5}, {"eps": -1}, {"net_eps": 0}, {"K_grid": [-1], "mode": "kr"}],
+    ids=["q", "p-as-default-q", "eps", "net_eps", "kr-K_grid"],
+)
+def test_compactness_invalid_value_is_config_error(tmp_path, capsys, extra):
+    cfg = write_config(tmp_path, "cfg.json", {**COMPACT, **extra})
+    assert main(["compactness", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_compactness_solutions_dir_roundtrip(tmp_path):
     pipe_cfg = write_config(tmp_path, "pipe.json", PIPE)
     pipe_out = tmp_path / "pipe_out"
@@ -283,7 +294,8 @@ def test_solve_non_convergence_exit(tmp_path):
     assert (out / "u.bin").exists()
 
 
-FAST_SUITES = ["--suite", "monotonicity", "--suite", "nesting_embedding"]
+FAST_SUITES = ["--suite", "monotonicity", "--suite", "lambda_metric",
+               "--suite", "nesting_embedding"]
 
 
 def test_verify_requires_seed(tmp_path, capsys):
@@ -295,8 +307,8 @@ def test_verify_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     assert main(["verify", "--seed", "3", "--out", str(out1)] + FAST_SUITES) == 0
     assert main(["verify", "--seed", "3", "--out", str(out2)] + FAST_SUITES) == 0
-    for name in ("verify_monotonicity.json", "verify_nesting_embedding.json",
-                 "verify_summary.json"):
+    for name in ("verify_monotonicity.json", "verify_lambda_metric.json",
+                 "verify_nesting_embedding.json", "verify_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -53,6 +53,63 @@ def test_wells_pointwise_values():
     assert eval_at(wells, 4.0) == 1.0  # second well center
 
 
+def brute_force_wells(*coords, gamma=WELLS_GAMMA):
+    """Every one of the 40 wells tested at every point."""
+    arrs = [np.asarray(c, dtype=np.float64) for c in coords]
+    r2 = sum(a**2 for a in arrs)
+    background = 1.0 + r2 ** (gamma / 2.0)
+    in_well = np.zeros(np.shape(background), dtype=bool)
+    for k in range(1, 41):
+        d2 = (arrs[0] - 2.0**k) ** 2
+        for a in arrs[1:]:
+            d2 = d2 + a**2
+        in_well |= d2 < (2.0 ** (-2 * k)) ** 2
+    return np.where(in_well, 1.0, background)
+
+
+def well_boundary_points():
+    """Points a few ulps either side of both ends of every well, plus centres."""
+    pts = []
+    for k in range(1, 41):
+        center, radius = 2.0**k, 2.0 ** (-2 * k)
+        for edge in (center - radius, center + radius):
+            pts.extend(edge + np.arange(-3, 4) * np.spacing(edge))
+        pts.extend([center, center * (1.0 + 1e-9)])
+    return np.array(pts)
+
+
+def test_wells_evaluator_matches_brute_force_on_verify_grid(fine_wells_grid):
+    wells = sparse_wells(gamma=WELLS_GAMMA)
+    x = fine_wells_grid.axis_coords()
+    assert np.array_equal(wells.evaluator(x), brute_force_wells(x))
+
+
+def test_wells_evaluator_matches_brute_force_at_boundaries():
+    wells = sparse_wells(gamma=WELLS_GAMMA)
+    x = well_boundary_points()
+    got = wells.evaluator(x)
+    assert np.array_equal(got, brute_force_wells(x))
+    per_well = got.reshape(40, -1)
+    assert np.all(np.any(per_well == 1.0, axis=1)) and np.all(np.any(per_well > 1.0, axis=1))
+
+
+def test_wells_evaluator_matches_brute_force_transverse(rng):
+    wells = sparse_wells(gamma=WELLS_GAMMA)
+    x = well_boundary_points()
+    y, z = 1e-3 * rng.uniform(-1.0, 1.0, (2, x.size))
+    for coords in ((x, y), (x, y, z)):
+        assert np.array_equal(wells.evaluator(*coords), brute_force_wells(*coords))
+
+
+def test_wells_evaluator_matches_brute_force_left_of_first_well(rng):
+    wells = sparse_wells(gamma=WELLS_GAMMA)
+    x = np.concatenate([
+        rng.uniform(-50.0, 0.0, 1000), rng.uniform(0.0, 2.0, 1000),
+        [0.0, -0.0, 1.75, np.nextafter(1.75, 0.0), -2.0],
+    ])
+    assert np.array_equal(wells.evaluator(x), brute_force_wells(x))
+
+
 def test_wells_total_measure_infinite_series(fine_wells_grid):
     wells = sparse_wells(gamma=WELLS_GAMMA)
     total = bad_set_measure(wells, fine_wells_grid, 0.0)
