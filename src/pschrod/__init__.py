@@ -18,6 +18,7 @@ from .asymptotic import (
     lambda_dist,
     lambda_fnorm,
     lambda_fnorm_rows,
+    lambda_mass_rows,
     lp_norm,
     superlevel_measure,
     tail_lambda,
@@ -38,6 +39,7 @@ from .compactness import (
 from .grid import (
     GridFunction,
     GridSpec,
+    abs_power,
     annulus_integrate,
     cell_gradient_matrix,
     cell_gradient_norm,

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .grid import GridFunction, _check_same_spec, annulus_integrate, cell_gradient_norm, integrate
+from .grid import GridFunction, _check_same_spec, abs_power, cell_gradient_norm, integrate
 
 __all__ = [
     "ExponentP",
@@ -28,6 +28,7 @@ __all__ = [
     "lp_norm",
     "lambda_fnorm",
     "lambda_fnorm_rows",
+    "lambda_mass_rows",
     "lambda_dist",
     "x_norm_p",
     "weak_lq_quasinorm",
@@ -132,7 +133,19 @@ def truncate(u: GridFunction, t: float) -> GridFunction:
 def lp_norm(u: GridFunction, p) -> float:
     """Plain quadrature Lp norm ``(integral |u|^p)^(1/p)``."""
     p = _as_p(p)
-    return float(integrate(GridFunction(u.spec, np.abs(u.values) ** p))) ** (1.0 / p)
+    return float(integrate(GridFunction(u.spec, abs_power(u.values, p)))) ** (1.0 / p)
+
+
+def lambda_mass_rows(values: np.ndarray, weights: np.ndarray, p) -> np.ndarray:
+    """F-norm mass ``min(|x|, 1)^p @ weights`` of each row of ``(..., num_nodes)`` values.
+
+    ``weights`` are the grid's quadrature weights, or the subset matching
+    ``values``; :func:`lambda_fnorm_rows` is the p-th root of the mass.
+    """
+    p = _as_p(p)
+    clipped = np.abs(values)
+    np.minimum(clipped, 1.0, out=clipped)
+    return abs_power(clipped, p, out=clipped) @ weights
 
 
 def lambda_fnorm_rows(values: np.ndarray, weights: np.ndarray, p) -> np.ndarray:
@@ -140,11 +153,7 @@ def lambda_fnorm_rows(values: np.ndarray, weights: np.ndarray, p) -> np.ndarray:
 
     ``weights`` are the grid's quadrature weights; one row gives :func:`lambda_fnorm`.
     """
-    p = _as_p(p)
-    clipped = np.abs(values)
-    np.minimum(clipped, 1.0, out=clipped)
-    clipped **= p
-    return (clipped @ weights) ** (1.0 / p)
+    return lambda_mass_rows(values, weights, p) ** (1.0 / float(p))
 
 
 def lambda_fnorm(u: GridFunction, p) -> float:
@@ -170,8 +179,9 @@ def x_norm_p(u: GridFunction, V: GridFunction, p) -> float:
     vmin = float(np.min(V.values))
     if vmin < 1.0:
         raise ValueError(f"potential must satisfy V >= 1 at every node, min is {vmin}")
-    kinetic = u.spec.h**u.spec.n * float(np.sum(cell_gradient_norm(u) ** p))
-    weighted = integrate(GridFunction(u.spec, V.values * np.abs(u.values) ** p))
+    grad = cell_gradient_norm(u)
+    kinetic = u.spec.h**u.spec.n * float(np.sum(abs_power(grad, p, out=grad)))
+    weighted = integrate(GridFunction(u.spec, V.values * abs_power(u.values, p)))
     return kinetic + weighted
 
 
@@ -201,11 +211,10 @@ def weak_lq_quasinorm(u: GridFunction, q) -> float:
 
 def tail_lambda(u: GridFunction, R: float, p) -> float:
     """Tail of the F-norm mass: ``integral_{|x| > R} min(|u|, 1)^p``."""
-    p = _as_p(p)
     if R < 0:
         raise ValueError(f"radius must be nonnegative, got {R!r}")
-    clipped = np.minimum(np.abs(u.values), 1.0) ** p
-    return annulus_integrate(GridFunction(u.spec, clipped), R)
+    mask = u.spec.radii() > R
+    return float(lambda_mass_rows(u.values[mask], u.spec.weights()[mask], p))
 
 
 def superlevel_measure(u: GridFunction, K: float) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from .asymptotic import (
     EstimateReport,
     lambda_dist,
-    lambda_fnorm,
+    lambda_mass_rows,
     lp_norm,
     superlevel_measure,
     tail_lambda,
@@ -181,7 +181,7 @@ def translation_defect(u: GridFunction, y, p) -> float:
     if np.linalg.norm(np.asarray(offset) * u.spec.h) >= u.spec.L:
         raise ValueError("shift magnitude must stay below the box half-width")
     shifted = _shifted_values(u, offset)
-    return lambda_fnorm(GridFunction(u.spec, shifted - u.values), p) ** float(p)
+    return float(lambda_mass_rows(shifted - u.values, u.spec.weights(), p))
 
 
 def _gradient_magnitude(u: GridFunction) -> GridFunction:

@@ -43,6 +43,7 @@ from .asymptotic import (
 )
 from .grid import (
     GridFunction,
+    abs_power,
     cell_gradient_norm,
     gradient,
     integrate,
@@ -295,7 +296,7 @@ def distributional_residual(
     zero_order = integrate(
         GridFunction(
             u.spec,
-            prob.V.values * np.abs(u.values) ** (p - 2.0) * u.values * psi.values,
+            prob.V.values * abs_power(u.values, p - 2.0) * u.values * psi.values,
         )
     )
     source = integrate(GridFunction(u.spec, prob.f.values * psi.values))
@@ -474,7 +475,8 @@ def run_scheme(
         grad_local = {}
         for alpha in cfg.alpha_grid:
             gap = truncate(solutions[k].u, alpha) - truncate(u_ref, alpha)
-            grad_local[alpha] = float(np.dot(w_sub, cell_gradient_norm(gap) ** p))
+            gap_norm = cell_gradient_norm(gap)
+            grad_local[alpha] = float(np.dot(w_sub, abs_power(gap_norm, p, out=gap_norm)))
         row["grad_gap_subbox_p"] = grad_local
         conv_rows.append(row)
 

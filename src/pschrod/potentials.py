@@ -140,8 +140,8 @@ def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
         np.exp2(k, out=k)
         return np.where(d2 < k, 1.0, background)
 
-    # metadata only covers wells a desk-scale box can possibly see
-    ks = range(1, 41)
+    # metadata lists the evaluator's wells, up to those a desk-scale box can see
+    ks = range(1, min(k_max, 40) + 1)
     return Potential(
         evaluator,
         kappa=1.0,

@@ -79,6 +79,18 @@ def test_translation_defect_zero_shift(rng):
     assert translation_defect(u, [0.0], 2.0) == 0.0
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_translation_defect_is_its_quadrature_sum(rng, p):
+    spec = GridSpec(1, 4.0, 257)
+    for _ in range(20):
+        vals = 3.0 * rng.standard_normal(spec.num_nodes)
+        for o in (1, 5, 17):
+            shifted = np.zeros_like(vals)
+            shifted[:-o] = vals[o:]
+            expected = float(np.dot(spec.weights(), np.minimum(np.abs(shifted - vals), 1.0) ** p))
+            assert translation_defect(GridFunction(spec, vals), [o * spec.h], p) == expected
+
+
 def test_translation_defect_constant_boundary_slab():
     # shifting a constant c by o nodes exposes a zero-extension slab whose
     # node measure is (o - 1/2) h, each contributing min(c, 1)^p

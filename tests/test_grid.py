@@ -6,6 +6,7 @@ import pytest
 from pschrod.grid import (
     GridFunction,
     GridSpec,
+    abs_power,
     annulus_integrate,
     cell_gradient_matrix,
     cell_gradient_norm,
@@ -274,3 +275,31 @@ def test_load_rejects_wrong_payload(tmp_path):
     bpath.write_bytes(bpath.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_grid_function(tmp_path / "u")
+
+
+def wide_range_data(rng, e):
+    """Signed magnitudes log-uniform on [1e-330, 1e3] (those below 5e-324 are 0),
+    random subnormals, zeros of both signs and +-64 ulps around abs_power's cutoff."""
+    mags = 10.0 ** rng.uniform(-330.0, 3.0, 20000)
+    subnormals = rng.integers(0, 2**52, 2000) * np.nextafter(0.0, 1.0)
+    cutoff = 2.0 ** (-1076.0 / e) if e > 0 else 0.0
+    near = np.maximum(np.float64(cutoff).view(np.int64) + np.arange(-64, 65), 0).view(np.float64)
+    x = np.concatenate([mags, subnormals, near, [0.0, 1.0, 2.0**-1022, 5e-324]])
+    return x * rng.choice([-1.0, 1.0], x.size)
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0])
+def test_abs_power_bit_identical_to_power(rng, e):
+    x = wide_range_data(rng, e)
+    expected = (np.abs(x) ** e).tobytes()
+    assert abs_power(x, e).tobytes() == expected
+    buf = x.copy()
+    assert abs_power(buf, e, out=buf) is buf
+    assert buf.tobytes() == expected
+    rows = x[:20000].reshape(100, 200)
+    assert abs_power(rows, e).tobytes() == (np.abs(rows) ** e).tobytes()
+
+
+def test_abs_power_rejects_negative_exponent():
+    with pytest.raises(ValueError, match="nonnegative"):
+        abs_power(np.ones(3), -0.5)

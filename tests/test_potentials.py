@@ -176,6 +176,15 @@ def test_confinement_report_flags_sub_resolution_wells():
     assert len(rep.sub_resolution_wells) >= 2
 
 
+def test_wells_metadata_stops_at_max_center():
+    wells = sparse_wells(gamma=WELLS_GAMMA, max_center=8.0)
+    assert wells.well_centers == ((2.0,), (4.0,), (8.0,))
+    assert wells.well_radii == (0.25, 0.0625, 0.015625)
+    assert eval_at(wells, 8.0) == 1.0 and eval_at(wells, 16.0) == 257.0
+    rep = confinement_report(wells, GridSpec(1, 40.0, 4097), [2.0, 4.0])
+    assert rep.sub_resolution_wells == (2,)  # well k = 3 only
+
+
 def test_confinement_report_validation(fine_wells_grid):
     wells = sparse_wells(gamma=WELLS_GAMMA)
     with pytest.raises(ValueError):

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from pschrod.asymptotic import ExponentP, lp_norm, x_norm_p
-from pschrod.grid import GridFunction, GridSpec, integrate, sample, zero_boundary
+from pschrod.asymptotic import ExponentP, lambda_fnorm_rows, lp_norm, tail_lambda, x_norm_p
+from pschrod.grid import (
+    GridFunction,
+    GridSpec,
+    annulus_integrate,
+    cell_gradient_matrix,
+    cell_gradient_norm,
+    integrate,
+    sample,
+    zero_boundary,
+)
 from pschrod.presets import (
     manufactured_p2_datum,
     manufactured_p2_solution,
@@ -12,6 +21,7 @@ from pschrod.presets import (
 )
 from pschrod.solver import (
     Problem,
+    _energy_arrays,
     _gradient_arrays,
     _hessian_interior,
     _line_band,
@@ -347,3 +357,41 @@ def test_flux_monotonicity_vectors_and_scalars(p, rng):
     rhs_s = 2.0 ** (2.0 - p) * np.abs(a - b) ** p
     margin_s = monotonicity_margin(a, b, p)
     assert float(np.min(margin_s / np.maximum(rhs_s, 1e-300))) >= -1e-12
+
+
+@pytest.mark.parametrize("n, m", [(1, 4097), (2, 65), (3, 17)])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 6.0])
+def test_grid_powers_bit_identical_on_underflowing_tail(n, m, p):
+    # exp(-18.5 |x|) on [-40, 40]^n: most |u|^p fall below the double range
+    spec = GridSpec(n, 40.0, m)
+    x = spec.node_coords()
+    r = np.sqrt(np.sum(x**2, axis=1))
+    V = GridFunction(spec, 1.0 + r**2)
+    f = GridFunction(spec, np.exp(-(r**2)))
+    prob = Problem(spec=spec, p=p, V=V, f=f)
+    u = zero_boundary(GridFunction(spec, np.cos(x[:, 0]) * np.exp(-18.5 * r)))
+    v = u.values
+    assert np.count_nonzero((np.abs(v) ** p == 0.0) & (v != 0.0)) > v.size // 4
+
+    h_n, w = spec.h**spec.n, spec.weights()
+    G = cell_gradient_matrix(spec)
+    comps = (G @ v).reshape(n, -1)
+    s = np.sum(comps * comps, axis=0)
+    J = (h_n / p * float(np.sum(s ** (p / 2.0)))
+         + float(np.dot(w, V.values * np.abs(v) ** p)) / p
+         - float(np.dot(w, f.values * v)))
+    assert _energy_arrays(v, prob) == J
+    g = h_n * (G.T @ (s ** ((p - 2.0) / 2.0) * comps).ravel())
+    g += w * V.values * np.abs(v) ** (p - 2.0) * v
+    g -= w * f.values
+    assert _gradient_arrays(v, prob).tobytes() == g.tobytes()
+
+    xnorm = (h_n * float(np.sum(cell_gradient_norm(u) ** p))
+             + integrate(GridFunction(spec, V.values * np.abs(v) ** p)))
+    assert x_norm_p(u, V, p) == xnorm
+    clipped = np.minimum(np.abs(v), 1.0) ** p
+    for R in (0.0, 1.0, 12.0):
+        assert tail_lambda(u, R, p) == annulus_integrate(GridFunction(spec, clipped), R)
+    rows = np.stack([v, 1e3 * v, 1e-3 * v])
+    expected = (np.minimum(np.abs(rows), 1.0) ** p @ w) ** (1.0 / p)
+    assert lambda_fnorm_rows(rows, w, p).tobytes() == expected.tobytes()
