@@ -55,6 +55,9 @@ class ConfigError(Exception):
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
+    """Every config block passes here first: it must be an object with known keys."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -66,12 +69,28 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _list(value, what: str) -> list:
+    """A config value that must be a JSON list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _number(value, what: str, kind=float):
-    """``kind(value)``; a config value that is not a number is a config error."""
+    """``value`` as a float, or as an int when ``kind`` is int.
+
+    A value that is not a number, or for ``int`` not integral (``65.0`` is
+    accepted, ``65.7`` is not), is a config error.
+    """
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _optional_number(block: dict, key: str, where: str) -> float | None:
@@ -82,9 +101,7 @@ def _optional_number(block: dict, key: str, where: str) -> float | None:
 
 def _numbers(values, what: str) -> list[float]:
     """A config list of numbers as floats."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
-    return [_number(v, f"{what} entry") for v in values]
+    return [_number(v, f"{what} entry") for v in _list(values, what)]
 
 
 def _build_grid(block: dict) -> GridSpec:
@@ -160,7 +177,8 @@ def _build_datum(block: dict, spec: GridSpec) -> GridFunction:
         term = {key: val for key, val in block.items() if key != "kind"}
         return sample(spec, _gaussian_term(term, spec.n))
     if kind == "sum":
-        terms = [_gaussian_term(t, spec.n) for t in _require(block, "terms", "datum")]
+        terms = [_gaussian_term(t, spec.n)
+                 for t in _list(_require(block, "terms", "datum"), "datum terms")]
 
         def total(*coords):
             return sum(t(*coords) for t in terms)
@@ -271,13 +289,14 @@ def cmd_pipeline(args) -> int:
     f = _build_datum(_require(cfg, "datum", "config"), spec)
     p = _number(_require(cfg, "p", "config"), "p")
 
-    scheme_block = dict(_require(cfg, "scheme", "config"))
+    scheme_block = _require(cfg, "scheme", "config")
     _check_keys(
         scheme_block,
         {"k_list", "t_grid", "alpha_grid", "R_grid", "eps_grid", "tol",
          "tol_residual", "max_iters"},
         "scheme",
     )
+    scheme_block = dict(scheme_block)
     debug_block = cfg.get("debug", {})
     _check_keys(debug_block, {"stability_cp_scale"}, "debug")
     if args.tol is not None:
@@ -286,9 +305,9 @@ def cmd_pipeline(args) -> int:
         scheme_cfg = SchemeConfig(
             k_list=_numbers(_require(scheme_block, "k_list", "scheme"), "k_list"),
             t_grid=_numbers(_require(scheme_block, "t_grid", "scheme"), "t_grid"),
-            alpha_grid=_numbers(scheme_block.get("alpha_grid", (0.5, 1.0)), "alpha_grid"),
-            R_grid=_numbers(scheme_block.get("R_grid", (2.0, 4.0, 6.0)), "R_grid"),
-            eps_grid=_numbers(scheme_block.get("eps_grid", (0.1, 0.5, 1.0)), "eps_grid"),
+            alpha_grid=_numbers(scheme_block.get("alpha_grid", [0.5, 1.0]), "alpha_grid"),
+            R_grid=_numbers(scheme_block.get("R_grid", [2.0, 4.0, 6.0]), "R_grid"),
+            eps_grid=_numbers(scheme_block.get("eps_grid", [0.1, 0.5, 1.0]), "eps_grid"),
             tol=_number(scheme_block.get("tol", 0.05), "scheme tol"),
             tol_residual=_optional_number(scheme_block, "tol_residual", "scheme"),
             max_iters=_number(scheme_block.get("max_iters", 100), "scheme max_iters", int),
@@ -462,6 +481,8 @@ def cmd_verify(args) -> int:
     if seed is None:
         raise ConfigError("verify requires a seed (--seed or config key 'seed')")
     suites = args.suite or cfg.get("suites")
+    if suites is not None:
+        _list(suites, "suites")
     out = _outdir(args, cfg)
     try:
         summary = run_verify(int(seed), out, suites=suites, threads=args.threads)

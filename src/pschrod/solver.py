@@ -28,13 +28,14 @@ unregularized operator.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import GridFunction, GridSpec, abs_power, cell_gradient_matrix
 
@@ -168,13 +169,6 @@ class SolveResult:
 
 
 @lru_cache(maxsize=32)
-def _interior_gradient(spec: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """G restricted to the interior-node columns, and its transpose."""
-    G_int = cell_gradient_matrix(spec)[:, ~spec.boundary_mask()].tocsr()
-    return G_int, G_int.T.tocsr()
-
-
-@lru_cache(maxsize=32)
 def _gradient_transpose(spec: GridSpec) -> sp.csr_matrix:
     """G^T in CSR form: a row-wise matvec, twice as fast as ``G.T`` (CSC), same bits."""
     return cell_gradient_matrix(spec).T.tocsr()
@@ -210,36 +204,131 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
     return g
 
 
+@dataclass(frozen=True, eq=False)
+class _HessianPattern:
+    """The fixed sparsity of the interior Hessian on one grid, and how to fill it.
+
+    ``M[(a, b), (i, j)] = h^n G_a[i] G_b[j]`` is the cell block of
+    ``h^n G^T K G`` per unit entry ``K[a, b]`` of the cell weight, ``G_a[i]``
+    the coefficient of cell corner ``i`` in gradient component ``a``; it is
+    the same for every cell.  ``S`` is 0/1 and sums the entries of all cell
+    blocks, laid out cell by cell, into the CSR data of H (``indices``,
+    ``indptr``); entries on a boundary node are dropped.  ``diagonal`` holds
+    the data position of each diagonal entry.  Shared: do not mutate.
+    """
+
+    M: np.ndarray
+    S: sp.csr_matrix
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+
+
+def _cell_stencil(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest corner node of every cell, corner offsets and ``G_a[i]``, shape (n, 2^n).
+
+    Raises if some row of :func:`~pschrod.grid.cell_gradient_matrix` is not
+    the stencil of the first cell translated to its own cell.
+    """
+    n, m = spec.n, spec.m
+    corners = 2**n
+    base = np.arange(spec.num_nodes).reshape((m,) * n)[(slice(0, m - 1),) * n].ravel()
+    G = cell_gradient_matrix(spec)
+    if not np.array_equal(np.diff(G.indptr), np.full(G.shape[0], corners)):
+        raise ValueError("cell gradient rows do not all have one entry per cell corner")
+    cols = G.indices.reshape(n, -1, corners)
+    order = np.argsort(cols, axis=-1)
+    offsets = np.take_along_axis(cols, order, axis=-1) - base[:, None]
+    coeffs = np.take_along_axis(G.data.reshape(n, -1, corners), order, axis=-1)
+    if not (np.array_equal(offsets, np.broadcast_to(offsets[:1, :1], offsets.shape))
+            and np.array_equal(coeffs, np.broadcast_to(coeffs[:, :1], coeffs.shape))):
+        raise ValueError("cells do not share one gradient stencil")
+    return base, offsets[0, 0], coeffs[:, 0]
+
+
+@lru_cache(maxsize=32)
+def _build_hessian_pattern(spec: GridSpec) -> _HessianPattern:
+    """Assemble the :class:`_HessianPattern` of ``spec``; use :func:`_hessian_pattern`.
+
+    The CSR structure comes from one stable argsort of the (row, col) keys
+    of all kept cell-block entries.  Temporaries are released as soon as
+    they are spent, so the peak stays at a few index arrays of that length.
+    """
+    base, offsets, coeffs = _cell_stencil(spec)
+    corners = offsets.size
+    M = spec.h**spec.n * (coeffs[:, None, :, None] * coeffs[None, :, None, :])
+    M = M.reshape(spec.n**2, corners**2)
+
+    interior = ~spec.boundary_mask()
+    size = int(np.count_nonzero(interior))
+    # the keys row * size + col in int32 while they fit: half the transient memory
+    key_type = np.int32 if size * size <= np.iinfo(np.int32).max else np.int64
+    local = np.full(spec.num_nodes, -1, dtype=key_type)
+    local[interior] = np.arange(size)
+    corner = local[base[:, None] + offsets]  # interior index of each cell corner, or -1
+    blocks = corner.size * corners  # entry (i, j) of cell c is c * corners^2 + i * corners + j
+    del base, local
+    kept = np.flatnonzero(((corner[:, :, None] >= 0) & (corner[:, None, :] >= 0)).ravel())
+    kept = kept.astype(np.int32)
+    keys = (corner[:, :, None] * size + corner[:, None, :]).ravel()[kept]
+    del corner
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    kept = kept[order]
+    del order
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    rows, cols = np.divmod(keys[starts], size)
+    del keys, first
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    S = sp.csr_matrix(
+        (np.ones(kept.size), kept, np.append(starts, kept.size).astype(np.int32)),
+        shape=(starts.size, blocks),
+    )
+    pattern = _HessianPattern(M, S, cols.astype(np.int32), indptr, np.flatnonzero(rows == cols))
+    for arr in (M, S.data, S.indices, S.indptr, pattern.indices, indptr, pattern.diagonal):
+        arr.flags.writeable = False
+    return pattern
+
+
+_PATTERN_LOCK = threading.Lock()
+
+
+def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
+    """The cached :class:`_HessianPattern` of ``spec``, built once even under threads."""
+    with _PATTERN_LOCK:
+        return _build_hessian_pattern(spec)
+
+
 def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix:
-    """``h^n G_int^T K G_int + diag`` on interior nodes, K the per-cell n x n weights."""
+    """``h^n G_int^T K G_int + diag`` on interior nodes, K the per-cell n x n weights.
+
+    Filled into the cached pattern of the grid (:class:`_HessianPattern`):
+    every stored entry is kept, also one that sums to exactly zero.
+    """
     spec = prob.spec
     p = prob.p
-    G_int, G_int_T = _interior_gradient(spec)
+    pattern = _hessian_pattern(spec)
     comps, s = _cell_gradient_squared(v, spec)
-    s = s + eps * eps
+    s += eps * eps
     w1 = s ** ((p - 2.0) / 2.0)
     # p = 2 has no second term; skipping it avoids 0 * inf where s = 0
     w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
-
-    def weight(a, b):  # entry (a, b) of the per-cell n x n weight
-        return w2 * comps[a] * comps[b] + (w1 if a == b else 0.0)
-
-    # block (a, b) of K is diag(weight(a, b)): it sits at offset (b - a) * ncells
-    lags = range(1 - spec.n, spec.n)
-    K = sp.diags(
-        [np.concatenate([weight(a, a + k) for a in range(spec.n) if 0 <= a + k < spec.n])
-         for k in lags],
-        [k * s.size for k in lags],
-        format="csr",
-    )
+    cells = comps.T
+    K = (w2[:, None] * cells)[:, :, None] * cells[:, None, :]
+    K[:, range(spec.n), range(spec.n)] += w1[:, None]
+    data = pattern.S @ (K.reshape(s.size, -1) @ pattern.M).ravel()
     nodal_diag = (
         spec.weights()
         * prob.V.values
         * (p - 1.0)
         * (v * v + eps * eps) ** ((p - 2.0) / 2.0)
     )
-    return (spec.h**spec.n * (G_int_T @ (K @ G_int))
-            + sp.diags(nodal_diag[~spec.boundary_mask()], format="csr"))
+    data[pattern.diagonal] += nodal_diag[~spec.boundary_mask()]
+    size = pattern.indptr.size - 1
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +353,32 @@ def _line_band(H: sp.csr_matrix, m: int) -> np.ndarray:
     return band
 
 
+def _line_preconditioner(H: sp.csr_matrix, m: int):
+    """Exact solve with the line blocks of H (:func:`_line_band`), as ``r -> x``.
+
+    The blocks are tridiagonal principal submatrices of H, hence SPD; they
+    are factored once as ``L D L^T`` by LAPACK ``dpttrf``.
+    """
+    band = _line_band(H, m)
+    d, e, info = dpttrf(band[1], band[0, 1:], overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"line block of the Newton matrix is not positive definite (dpttrf info {info})"
+        )
+    return lambda r: dpttrs(d, e, r)[0]
+
+
 def _newton_solve(H: sp.csr_matrix, rhs: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     """Solve the SPD system ``H x = rhs`` on interior nodes; return x and the CG count.
 
     Conjugate gradients from x = 0 to relative residual ``_CG_RTOL``,
-    preconditioned with the Cholesky factor of the line blocks of H
-    (:func:`_line_band`; each block is a principal submatrix of H, hence
-    SPD).  In 1D the one line is all of H and a single step is exact.  Every
-    CG iterate started from 0 is a descent direction for a Newton system
-    with rhs = -gradient.
+    preconditioned with exact solves on the line blocks of H
+    (:func:`_line_preconditioner`).  In 1D the one line is all of H and a
+    single step is exact.  Every CG iterate started from 0 is a descent
+    direction for a Newton system with rhs = -gradient.
     """
-    factor = (cholesky_banded(_line_band(H, m)), False)
     precondition = spla.LinearOperator(
-        H.shape, matvec=lambda r: cho_solve_banded(factor, r), dtype=np.float64
+        H.shape, matvec=_line_preconditioner(H, m), dtype=np.float64
     )
     count = 0
 

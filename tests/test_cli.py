@@ -152,6 +152,64 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, con
     assert "must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("pipeline", {**PIPE, "scheme": [1, 2]}, "scheme must be a JSON object"),
+        ("solve", {**BASE_SOLVE, "grid": 5}, "grid must be a JSON object"),
+        ("solve", {**BASE_SOLVE, "datum": {"kind": "sum", "terms": {"width": 1}}},
+         "datum terms must be a list"),
+        ("solve", {**BASE_SOLVE, "datum": {"kind": "sum", "terms": [1.0]}},
+         "datum term must be a JSON object"),
+        ("verify", {"seed": 1, "suites": "monotonicity"}, "suites must be a list"),
+    ],
+    ids=["scheme-list", "grid-int", "terms-object", "term-number", "suites-string"],
+)
+def test_config_block_of_wrong_type_is_config_error(tmp_path, capsys, command, config,
+                                                    message):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+CONFINE = {
+    "grid": {"n": 1, "L": 10.0, "m": 101},
+    "potential": {"kind": "polynomial_trap", "gamma": 2.0},
+    "R_grid": [2, 4],
+}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("solve", {**BASE_SOLVE, "grid": {"n": 1, "L": 8.0, "m": 65.7}}),
+        ("solve", {**BASE_SOLVE, "grid": {"n": 1.5, "L": 8.0, "m": 65}}),
+        ("solve", {**BASE_SOLVE, "solver": {"max_iters": 2.7}}),
+        ("pipeline", {**PIPE, "scheme": {**PIPE["scheme"], "max_iters": 2.7}}),
+        ("compactness", {**COMPACT, "family": {"kind": "translating_bumps", "count": 2.5}}),
+        ("confinement", {**CONFINE, "mc": {"samples": 100.5}}),
+    ],
+    ids=["grid-m", "grid-n", "solver-max_iters", "scheme-max_iters", "family-count",
+         "mc-samples"],
+)
+def test_fractional_integer_config_value_is_config_error(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main(argv) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_config_value_is_accepted(tmp_path):
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {**BASE_SOLVE, "grid": {"n": 1.0, "L": 8.0, "m": 65.0},
+         "solver": {"max_iters": 3.0}},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert load_grid_function(out / "u").values.size == 65
+
+
 def test_pipeline_zero_datum_trivial_pass(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {**PIPE, "datum": {"kind": "zero"}})
     assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

@@ -1,6 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from pschrod.asymptotic import ExponentP, lambda_fnorm_rows, lp_norm, tail_lambda, x_norm_p
 from pschrod.grid import (
@@ -23,8 +28,12 @@ from pschrod.solver import (
     Problem,
     _energy_arrays,
     _gradient_arrays,
+    _build_hessian_pattern,
+    _cell_stencil,
     _hessian_interior,
+    _hessian_pattern,
     _line_band,
+    _line_preconditioner,
     _newton_solve,
     energy,
     monotonicity_margin,
@@ -317,6 +326,124 @@ def test_line_band_is_the_line_blocks_of_the_hessian(n, rng):
     assert np.array_equal(band[1], dense.diagonal())
     assert np.array_equal(band[0, 1:], np.where(breaks, 0.0, upper))
     assert band[0, 0] == 0.0
+
+
+def _spgemm_hessian(v, prob, eps):
+    """``h^n G_int^T K G_int + diag`` by sparse products, K assembled blockwise."""
+    spec, p, n = prob.spec, prob.p, prob.spec.n
+    interior = ~spec.boundary_mask()
+    G = cell_gradient_matrix(spec)
+    G_int = G[:, interior].tocsr()
+    comps = (G @ v).reshape(n, -1)
+    s = np.sum(comps * comps, axis=0) + eps * eps
+    w1 = s ** ((p - 2.0) / 2.0)
+    w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
+    K = sp.bmat([[sp.diags(w2 * comps[a] * comps[b] + (w1 if a == b else 0.0))
+                  for b in range(n)] for a in range(n)], format="csr")
+    nodal = spec.weights() * prob.V.values * (p - 1.0) * (v * v + eps * eps) ** ((p - 2.0) / 2.0)
+    return spec.h**n * (G_int.T @ (K @ G_int)) + sp.diags(nodal[interior])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 4, 5, 17])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("regularized", [False, True], ids=["eps0", "eps_reg"])
+def test_hessian_matches_sparse_product_assembly(n, m, p, regularized, rng):
+    prob = _trap_problem(n, m, p)
+    spec = prob.spec
+    eps = prob.eps_reg if regularized else 0.0
+    interior = ~spec.boundary_mask()
+    v = np.zeros(spec.num_nodes)
+    v[interior] = rng.standard_normal(int(np.sum(interior)))
+    H = _hessian_interior(v, prob, eps)
+    oracle = _spgemm_hessian(v, prob, eps).tocsr()
+    assert H.has_canonical_format
+    assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
+    # every entry the products keep is stored in H; H may also store exact zeros
+    stored = sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), shape=H.shape)
+    rows, cols = oracle.nonzero()
+    assert np.all(np.asarray(stored[rows, cols]).ravel() == 1.0)
+
+
+def test_hessian_matches_sparse_product_assembly_past_int32_keys(rng):
+    # 217^2 interior nodes: the (row, col) sort keys no longer fit in int32
+    prob = _trap_problem(2, 219, 3.0)
+    interior = ~prob.spec.boundary_mask()
+    assert np.sum(interior) ** 2 > np.iinfo(np.int32).max
+    v = np.zeros(prob.spec.num_nodes)
+    v[interior] = rng.standard_normal(int(np.sum(interior)))
+    H = _hessian_interior(v, prob, prob.eps_reg)
+    oracle = _spgemm_hessian(v, prob, prob.eps_reg)
+    assert H.has_canonical_format and H.nnz == oracle.nnz
+    assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
+
+
+def test_hessian_pattern_keeps_entries_that_cancel():
+    # at 2D p = 2 the two gradient components cancel on cell edges, and the
+    # sparse products drop those exact zeros
+    prob = _trap_problem(2, 17, 2.0)
+    v = np.zeros(prob.spec.num_nodes)
+    H = _hessian_interior(v, prob, 0.0)
+    oracle = _spgemm_hessian(v, prob, 0.0)
+    assert (H.nnz, oracle.nnz) == (1849, 1009)
+    assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
+
+
+def test_cell_stencil_rejects_a_cell_off_the_common_stencil(monkeypatch):
+    spec = GridSpec(2, 1.0, 5)
+    G = cell_gradient_matrix(spec).copy()
+    G.data[G.indptr[3]] *= 2.0
+    monkeypatch.setattr("pschrod.solver.cell_gradient_matrix", lambda _: G)
+    with pytest.raises(ValueError, match="stencil"):
+        _cell_stencil(spec)
+
+
+def test_hessian_pattern_built_once_for_concurrent_callers():
+    spec = GridSpec(2, 1.2345, 23)  # a grid no other test builds
+    misses = _build_hessian_pattern.cache_info().misses
+    callers = 4
+    start = threading.Barrier(callers, timeout=30)
+    patterns = []
+
+    def ask():
+        start.wait()
+        patterns.append(_hessian_pattern(spec))
+
+    threads = [threading.Thread(target=ask) for _ in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(patterns) == callers
+    assert all(pattern is patterns[0] for pattern in patterns)
+    assert _build_hessian_pattern.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 17])
+def test_line_preconditioner_matches_banded_cholesky(n, m, rng):
+    prob = _trap_problem(n, m, 3.0)
+    interior = ~prob.spec.boundary_mask()
+    v = np.zeros(prob.spec.num_nodes)
+    v[interior] = rng.standard_normal(int(np.sum(interior)))
+    H = _hessian_interior(v, prob, prob.eps_reg)
+    r = rng.standard_normal(H.shape[0])
+    x = _line_preconditioner(H, m)(r)
+    exact = cho_solve_banded((cholesky_banded(_line_band(H, m)), False), r)
+    assert x.shape == r.shape
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_line_preconditioner_rejects_indefinite_line_block():
+    H = sp.diags([2.0, 2.0, -1.0, 2.0], format="csr")
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        _line_preconditioner(H, 4)
 
 
 def test_1d_newton_steps_take_one_cg_iteration():
