@@ -71,6 +71,7 @@ from .potentials import (
     bad_set_measure,
     bad_set_measure_mc,
     confinement_report,
+    constant_potential,
     polynomial_trap,
     sample_potential,
     sparse_wells,

@@ -1,22 +1,24 @@
 """Experiment runner: config ingestion, subcommands, report emission.
 
 Subcommands: ``solve``, ``pipeline``, ``confinement``, ``compactness``,
-``verify``.  Every run validates its JSON config (unknown keys are
-rejected), merges command-line overrides (``--out``, ``--seed``, ``--tol``,
-``--threads``), writes the requested artifacts plus a ``manifest.json``
-with the config echo, library versions, seed and wall time.  Numeric
-artifacts are bitwise reproducible for identical configs; only the
-manifest carries timing.
+``verify``.  Every config block is read through one key table that maps
+each key it accepts to a parser: unknown keys are rejected, and a key left
+out is not passed on, so the library's own default applies.  Each
+subcommand registers only the flags it reads.  Every run writes the
+requested artifacts plus a ``manifest.json`` with the config echo, library
+versions, seed and wall time.  Numeric artifacts are bitwise reproducible
+for identical configs; only the manifest carries timing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 import scipy
@@ -37,11 +39,12 @@ from .potentials import (
     Potential,
     bad_set_measure_mc,
     confinement_report,
+    constant_potential,
     polynomial_trap,
     sample_potential,
     sparse_wells,
 )
-from .presets import bump, manufactured_p2_datum, translating_bumps, two_bump
+from .presets import fixed_bumps, manufactured_p2_datum, translating_bumps, two_bump
 from .solver import Problem, solve
 from .verify import SUITE_NAMES, run_verify
 
@@ -54,109 +57,152 @@ class ConfigError(Exception):
     pass
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    """Every config block passes here first: it must be an object with known keys."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+# ---------------------------------------------------------------------------
+# value parsers: ``parser(value, what)`` returns the parsed value or raises
+# a ConfigError that names ``what``
 
 
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return block[key]
-
-
-def _list(value, what: str) -> list:
-    """A config value that must be a JSON list."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _number(value, what: str, kind=float):
-    """``value`` as a float, or as an int when ``kind`` is int.
-
-    A value that is not a number, or for ``int`` not integral (``65.0`` is
-    accepted, ``65.7`` is not), is a config error.
-    """
+def _number(value, what: str) -> float:
+    """A finite JSON number as a float; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if kind is float:
-        return number
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _integer(value, what: str) -> int:
+    """An integral number as an int: ``65.0`` is accepted, ``65.7`` is not."""
+    number = _number(value, what)
     if not number.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(number)
 
 
-def _optional_number(block: dict, key: str, where: str) -> float | None:
-    """``block[key]`` as a float, or None when it is absent or null."""
-    value = block.get(key)
-    return None if value is None else _number(value, f"{where} {key}")
+def _seed(value, what: str) -> int:
+    """An exact integer in [0, 2^64); a seed never passes through a float."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(f"{what} must be an integer in [0, 2^64), got {value!r}")
+    return value
 
 
-def _numbers(values, what: str) -> list[float]:
-    """A config list of numbers as floats."""
-    return [_number(v, f"{what} entry") for v in _list(values, what)]
+def _typed(kind: type, name: str):
+    def parse(value, what):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{what} must be {name}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _build_grid(block: dict) -> GridSpec:
-    _check_keys(block, {"n", "L", "m"}, "grid")
+def _list_of(parser):
+    return lambda value, what: [parser(v, f"{what} entry") for v in _list(value, what)]
+
+
+_text = _typed(str, "a string")
+_object = _typed(dict, "a JSON object")
+_list = _typed(list, "a list")
+_numbers = _list_of(_number)
+
+
+def _nullable(parser):
+    """``parser`` that also takes null, which stands for the library default."""
+    return lambda value, what: None if value is None else parser(value, what)
+
+
+def _choice(options: dict):
+    def parse(value, what):
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(f"{what} must be one of {sorted(options)}, got {value!r}")
+        return options[value]
+
+    return parse
+
+
+def _block(block, where: str, keys: dict, required=()) -> dict:
+    """The keys present in ``block``, each parsed by its entry in ``keys``.
+
+    Unknown keys and missing ``required`` keys are config errors.  An absent
+    key is left out of the result, so the callee's own default applies.
+    """
+    _object(block, where)
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"missing key {key!r} in {where}")
+    return {key: keys[key](value, f"{where} {key}") for key, value in block.items()}
+
+
+def _kind(block, where: str, kinds: dict):
+    """``(kind, constructor, args)`` for a block whose ``kind`` selects its table.
+
+    ``kinds`` maps each kind to ``(constructor, keys, required)``.
+    """
+    if "kind" not in _object(block, where):
+        raise ConfigError(f"missing key 'kind' in {where}")
+    kind = block["kind"]
+    build, keys, required = _choice(kinds)(kind, f"{where} kind")
+    args = _block(block, f"{kind} {where}", {"kind": _text, **keys}, required)
+    del args["kind"]
+    return kind, build, args
+
+
+def _present(args: dict, keys) -> dict:
+    return {key: args[key] for key in keys if key in args}
+
+
+def _call(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ValueError it raises is a config error."""
     try:
-        return GridSpec(
-            n=_number(_require(block, "n", "grid"), "grid n", int),
-            L=_number(_require(block, "L", "grid"), "grid L"),
-            m=_number(_require(block, "m", "grid"), "grid m", int),
-        )
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+# ---------------------------------------------------------------------------
+# grids, potentials, data and families
+
+
+GRID = {"n": _integer, "L": _number, "m": _integer}
+
+
+def _build_grid(block: dict) -> GridSpec:
+    return _call(GridSpec, **_block(block, "grid", GRID, required=GRID))
+
+
+PAIR = {"gamma": _number, "kappa": _number}
+POTENTIALS = {
+    "polynomial_trap": (polynomial_trap, PAIR, ("gamma",)),
+    "sparse_wells": (sparse_wells, PAIR, ("gamma",)),
+    "constant": (constant_potential, {"value": _number, **PAIR}, ()),
+}
+
+
 def _build_potential(block: dict, need_pair: bool = False) -> Potential:
-    _check_keys(block, {"kind", "gamma", "value", "kappa"}, "potential")
-    kind = _require(block, "kind", "potential")
-    if kind == "polynomial_trap":
-        pot = polynomial_trap(gamma=_number(_require(block, "gamma", "potential"), "gamma"))
-    elif kind == "sparse_wells":
-        pot = sparse_wells(gamma=_number(_require(block, "gamma", "potential"), "gamma"))
-    elif kind == "constant":
-        value = _number(block.get("value", 1.0), "potential value")
-        if value < 1.0:
-            raise ConfigError("constant potential must be >= 1")
-        if need_pair and ("kappa" not in block or "gamma" not in block):
-            raise ConfigError(
-                "constant potential needs explicit kappa and gamma for "
-                "confinement diagnostics"
-            )
-
-        def evaluator(*coords):
-            return np.full(np.shape(np.asarray(coords[0], dtype=float)), value)
-
-        pot = Potential(
-            evaluator,
-            kappa=_number(block.get("kappa", 1.0), "kappa"),
-            gamma=_number(block.get("gamma", 1.0), "gamma"),
-            label=f"constant({value:g})",
+    kind, build, args = _kind(block, "potential", POTENTIALS)
+    if need_pair and kind == "constant" and not PAIR.keys() <= args.keys():
+        raise ConfigError(
+            "constant potential needs explicit kappa and gamma for "
+            "confinement diagnostics"
         )
-    else:
-        raise ConfigError(f"unknown potential kind {kind!r}")
-    if "kappa" in block and kind != "constant":
-        pot = pot.with_pair(_number(block["kappa"], "kappa"), pot.gamma)
-    return pot
+    kappa = args.pop("kappa", None)
+    pot = _call(build, **args)
+    return pot if kappa is None else _call(pot.with_pair, kappa, pot.gamma)
 
 
-def _gaussian_term(block: dict, n: int):
-    _check_keys(block, {"center", "width", "height"}, "datum term")
-    center = block.get("center", 0.0)
-    center = _numbers(center if isinstance(center, list) else [center], "datum center")
-    if len(center) != n:
-        raise ConfigError(f"datum center must have {n} components")
-    width = _number(_require(block, "width", "datum term"), "datum width")
-    height = _number(_require(block, "height", "datum term"), "datum height")
+def _constant_datum(spec: GridSpec, value: float = 0.0) -> GridFunction:
+    return GridFunction(spec, np.full(spec.num_nodes, value))
+
+
+def _gaussian(spec: GridSpec, width: float, height: float, center=(0.0,)):
+    if len(center) != spec.n:
+        raise ConfigError(f"datum center must have {spec.n} components")
 
     def term(*coords):
         d2 = sum((np.asarray(c, dtype=float) - c0) ** 2 for c, c0 in zip(coords, center))
@@ -165,63 +211,94 @@ def _gaussian_term(block: dict, n: int):
     return term
 
 
+GAUSSIAN = {
+    # a bare number is a point on the line
+    "center": lambda value, what: _numbers(value if isinstance(value, list) else [value], what),
+    "width": _number,
+    "height": _number,
+}
+
+
+def _gaussian_datum(spec: GridSpec, **term) -> GridFunction:
+    return sample(spec, _gaussian(spec, **term))
+
+
+def _sum_datum(spec: GridSpec, terms: list) -> GridFunction:
+    parts = [_gaussian(spec, **_block(t, "datum term", GAUSSIAN, ("width", "height")))
+             for t in terms]
+
+    def total(*coords):
+        return sum(t(*coords) for t in parts)
+
+    return sample(spec, total)
+
+
+def _line_datum(name: str, profile, spec: GridSpec) -> GridFunction:
+    if spec.n != 1:
+        raise ConfigError(f"{name} datum is one-dimensional")
+    return sample(spec, profile)
+
+
+DATA = {
+    "zero": (_constant_datum, {}, ()),
+    "constant": (_constant_datum, {"value": _number}, ()),
+    "gaussian": (_gaussian_datum, GAUSSIAN, ("width", "height")),
+    "sum": (_sum_datum, {"terms": _list}, ("terms",)),
+    "two_bump": (partial(_line_datum, "two_bump", two_bump), {}, ()),
+    "manufactured_p2": (partial(_line_datum, "manufactured_p2", manufactured_p2_datum), {}, ()),
+}
+
+
 def _build_datum(block: dict, spec: GridSpec) -> GridFunction:
-    _check_keys(block, {"kind", "value", "center", "width", "height", "terms"}, "datum")
-    kind = _require(block, "kind", "datum")
-    if kind == "zero":
-        return GridFunction(spec, np.zeros(spec.num_nodes))
-    if kind == "constant":
-        value = _number(block.get("value", 0.0), "datum value")
-        return GridFunction(spec, np.full(spec.num_nodes, value))
-    if kind == "gaussian":
-        term = {key: val for key, val in block.items() if key != "kind"}
-        return sample(spec, _gaussian_term(term, spec.n))
-    if kind == "sum":
-        terms = [_gaussian_term(t, spec.n)
-                 for t in _list(_require(block, "terms", "datum"), "datum terms")]
-
-        def total(*coords):
-            return sum(t(*coords) for t in terms)
-
-        return sample(spec, total)
-    if kind == "two_bump":
-        if spec.n != 1:
-            raise ConfigError("two_bump datum is one-dimensional")
-        return sample(spec, two_bump)
-    if kind == "manufactured_p2":
-        if spec.n != 1:
-            raise ConfigError("manufactured_p2 datum is one-dimensional")
-        return sample(spec, manufactured_p2_datum)
-    raise ConfigError(f"unknown datum kind {kind!r}")
+    _, build, args = _kind(block, "datum", DATA)
+    return build(spec, **args)
 
 
-def _build_problem(cfg: dict) -> tuple[Problem, Potential]:
-    spec = _build_grid(_require(cfg, "grid", "config"))
-    pot = _build_potential(_require(cfg, "potential", "config"))
-    V = sample_potential(pot, spec)
-    f = _build_datum(_require(cfg, "datum", "config"), spec)
-    solver_block = cfg.get("solver", {})
-    _check_keys(solver_block, {"tol_residual", "max_iters", "eps_reg"}, "solver")
-    try:
-        prob = Problem(
-            spec=spec,
-            p=_number(_require(cfg, "p", "config"), "p"),
-            V=V,
-            f=f,
-            eps_reg=_optional_number(solver_block, "eps_reg", "solver"),
-            tol_residual=_optional_number(solver_block, "tol_residual", "solver"),
-            max_iters=_number(solver_block.get("max_iters", 100), "solver max_iters", int),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return prob, pot
+def _solutions_family(dir: str, truncation: float | None = None) -> FunctionFamily:
+    directory = Path(dir)
+    bases = sorted(p.with_suffix("") for p in directory.glob("*.json")
+                   if p.with_suffix(".bin").exists())
+    if not bases:
+        raise ConfigError(f"no grid-function files in {directory}")
+    members = [load_grid_function(b) for b in bases]
+    if truncation is not None:
+        members = [truncate(u, truncation) for u in members]
+    return FunctionFamily(tuple(members), label=f"files:{directory.name}")
 
 
-def _write_manifest(outdir: Path, config: dict, args, started: float) -> None:
+BUMPS = {"width": _number, "height": _number}
+FAMILIES = {
+    "translating_bumps": (
+        translating_bumps, {"count": _integer, "spacing": _number, **BUMPS}, ()
+    ),
+    "fixed_bumps": (fixed_bumps, {"centers": _numbers, **BUMPS}, ()),
+    "solutions_dir": (
+        _solutions_family, {"dir": _text, "truncation": _nullable(_number)}, ("dir",)
+    ),
+}
+
+
+def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
+    kind, build, args = _kind(block, "family", FAMILIES)
+    if kind == "solutions_dir":
+        if spec is not None:
+            raise ConfigError("a solutions_dir family takes its grid from its files; "
+                              "drop the grid block")
+        return _call(build, **args)
+    if spec is None:
+        raise ConfigError(f"{kind} family needs a grid block")
+    return _call(build, spec, **args)
+
+
+# ---------------------------------------------------------------------------
+# run plumbing
+
+
+def _write_manifest(outdir: Path, config: dict, started: float, seed: int | None = None) -> None:
     manifest = {
         "config": config,
         "argv": list(sys.argv[1:]),
-        "seed": getattr(args, "seed", None),
+        "seed": seed,
         "versions": {
             "pschrod": __version__,
             "numpy": np.__version__,
@@ -233,24 +310,23 @@ def _write_manifest(outdir: Path, config: dict, args, started: float) -> None:
     write_json(outdir / "manifest.json", manifest)
 
 
-def _load_config(args, defaults: dict | None = None) -> dict:
-    cfg = dict(defaults or {})
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config root must be a JSON object")
-        cfg.update(loaded)
-    return cfg
+def _load_config(args) -> dict:
+    if not args.config:
+        return {}
+    path = Path(args.config)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        loaded = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("config root must be a JSON object")
+    return loaded
 
 
-def _outdir(args, cfg: dict) -> Path:
-    out = Path(args.out or cfg.get("out", "out"))
+def _outdir(args, config: dict) -> Path:
+    out = Path(args.out or config.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -258,17 +334,29 @@ def _outdir(args, cfg: dict) -> Path:
 # ---------------------------------------------------------------------------
 # subcommands
 
+PROBLEM = {"grid": _object, "p": _number, "potential": _object, "datum": _object,
+           "out": _text}
+PROBLEM_REQUIRED = ("grid", "p", "potential", "datum")
+PIPELINE = {**PROBLEM, "scheme": _object,
+            "regularizer": _choice({"canonical": regularize_datum, "mollified": mollify_datum})}
+SOLVER = {"tol_residual": _nullable(_number), "max_iters": _integer,
+          "eps_reg": _nullable(_number)}
+
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args)
-    _check_keys(cfg, {"grid", "p", "potential", "datum", "solver", "out"}, "config")
-    prob, _ = _build_problem(cfg)
-    out = _outdir(args, cfg)
+    c = _block(cfg, "config", {**PROBLEM, "solver": _object}, PROBLEM_REQUIRED)
+    spec = _build_grid(c["grid"])
+    V = sample_potential(_build_potential(c["potential"]), spec)
+    f = _build_datum(c["datum"], spec)
+    solver = _block(c.get("solver", {}), "solver", SOLVER)
+    prob = _call(Problem, spec=spec, p=c["p"], V=V, f=f, **solver)
+    out = _outdir(args, c)
     result = solve(prob)
     save_grid_function(result.u, out / "u")
     write_json(out / "solve.json", result.diagnostics())
-    _write_manifest(out, cfg, args, started)
+    _write_manifest(out, cfg, started)
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
         f"residual_sup={result.residual_sup:.3e} energy={result.energy:.6e}"
@@ -276,64 +364,27 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.converged else EXIT_FAIL
 
 
+SCHEME = {"k_list": _numbers, "t_grid": _numbers, "alpha_grid": _numbers,
+          "R_grid": _numbers, "eps_grid": _numbers, "tol": _number,
+          "tol_residual": _nullable(_number), "max_iters": _integer}
+
+
 def cmd_pipeline(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args)
-    _check_keys(
-        cfg,
-        {"grid", "p", "potential", "datum", "scheme", "debug", "regularizer", "out"},
-        "config",
-    )
-    spec = _build_grid(_require(cfg, "grid", "config"))
-    pot = _build_potential(_require(cfg, "potential", "config"))
-    f = _build_datum(_require(cfg, "datum", "config"), spec)
-    p = _number(_require(cfg, "p", "config"), "p")
-
-    scheme_block = _require(cfg, "scheme", "config")
-    _check_keys(
-        scheme_block,
-        {"k_list", "t_grid", "alpha_grid", "R_grid", "eps_grid", "tol",
-         "tol_residual", "max_iters"},
-        "scheme",
-    )
-    scheme_block = dict(scheme_block)
-    debug_block = cfg.get("debug", {})
-    _check_keys(debug_block, {"stability_cp_scale"}, "debug")
+    c = _block(cfg, "config", PIPELINE, (*PROBLEM_REQUIRED, "scheme"))
+    spec = _build_grid(c["grid"])
+    pot = _build_potential(c["potential"])
+    f = _build_datum(c["datum"], spec)
+    scheme = _block(c["scheme"], "scheme", SCHEME, ("k_list", "t_grid"))
     if args.tol is not None:
-        scheme_block["tol"] = args.tol
-    try:
-        scheme_cfg = SchemeConfig(
-            k_list=_numbers(_require(scheme_block, "k_list", "scheme"), "k_list"),
-            t_grid=_numbers(_require(scheme_block, "t_grid", "scheme"), "t_grid"),
-            alpha_grid=_numbers(scheme_block.get("alpha_grid", [0.5, 1.0]), "alpha_grid"),
-            R_grid=_numbers(scheme_block.get("R_grid", [2.0, 4.0, 6.0]), "R_grid"),
-            eps_grid=_numbers(scheme_block.get("eps_grid", [0.1, 0.5, 1.0]), "eps_grid"),
-            tol=_number(scheme_block.get("tol", 0.05), "scheme tol"),
-            tol_residual=_optional_number(scheme_block, "tol_residual", "scheme"),
-            max_iters=_number(scheme_block.get("max_iters", 100), "scheme max_iters", int),
-            stability_cp_scale=_number(
-                debug_block.get("stability_cp_scale", 1.0), "stability_cp_scale"
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    regularizer_name = cfg.get("regularizer", "canonical")
-    if regularizer_name == "canonical":
-        regularizer = regularize_datum
-    elif regularizer_name == "mollified":
-        regularizer = mollify_datum
-    else:
-        raise ConfigError(f"unknown regularizer {regularizer_name!r}")
-
-    try:
-        result = run_scheme(
-            f, pot, p, scheme_cfg, regularizer=regularizer, threads=args.threads
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = _outdir(args, cfg)
+        scheme["tol"] = args.tol
+    scheme_cfg = _call(SchemeConfig, **scheme)
+    result = _call(run_scheme, f, pot, c["p"], scheme_cfg, threads=args.threads,
+                   **_present(c, ["regularizer"]))
+    out = _outdir(args, c)
     save_scheme_result(result, out)
-    _write_manifest(out, cfg, args, started)
+    _write_manifest(out, cfg, started)
     failed = result.failed_reports()
     print(
         f"pipeline: levels={len(result.k_list)} reports={len(result.reports)} "
@@ -344,33 +395,32 @@ def cmd_pipeline(args) -> int:
     return EXIT_FAIL if failed or result.failed_k else EXIT_OK
 
 
+CONFINEMENT = {"grid": _object, "potential": _object, "R_grid": _numbers, "mc": _object,
+               "out": _text}
+MONTE_CARLO = {"samples": _integer}
+
+
 def cmd_confinement(args) -> int:
     started = time.monotonic()
+    seed = None if args.seed is None else _seed(args.seed, "--seed")
     cfg = _load_config(args)
-    _check_keys(cfg, {"grid", "potential", "R_grid", "mc", "out"}, "config")
-    spec = _build_grid(_require(cfg, "grid", "config"))
-    pot = _build_potential(_require(cfg, "potential", "config"), need_pair=True)
-    R_grid = _numbers(_require(cfg, "R_grid", "config"), "R_grid")
-    try:
-        report = confinement_report(pot, spec, R_grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    payload: dict[str, Any] = report.to_dict()
-
-    mc_block = cfg.get("mc", {})
-    _check_keys(mc_block, {"samples"}, "mc")
-    if mc_block:
-        if args.seed is None:
+    c = _block(cfg, "config", CONFINEMENT, ("grid", "potential", "R_grid"))
+    spec = _build_grid(c["grid"])
+    pot = _build_potential(c["potential"], need_pair=True)
+    report = _call(confinement_report, pot, spec, c["R_grid"])
+    payload = report.to_dict()
+    if "mc" in c:
+        mc = _block(c["mc"], "mc", MONTE_CARLO)
+        if seed is None:
             raise ConfigError("Monte Carlo cross-check needs --seed")
-        samples = _number(mc_block.get("samples", 100000), "mc samples", int)
         payload["monte_carlo"] = {
-            f"{R:g}": bad_set_measure_mc(pot, spec, R, samples, args.seed)
-            for R in R_grid
+            f"{R:g}": _call(bad_set_measure_mc, pot, spec, R, seed=seed, **mc)
+            for R in c["R_grid"]
         }
 
-    out = _outdir(args, cfg)
+    out = _outdir(args, c)
     write_json(out / "confinement.json", payload)
-    _write_manifest(out, cfg, args, started)
+    _write_manifest(out, cfg, started, seed)
 
     print(f"confinement: {report.label} kappa={report.kappa:g} gamma={report.gamma:g}")
     print(f"{'R':>10}  {'|E_R|':>14}")
@@ -382,89 +432,34 @@ def cmd_confinement(args) -> int:
     return EXIT_OK
 
 
-def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
-    _check_keys(
-        block,
-        {"kind", "count", "width", "height", "spacing", "centers", "dir", "truncation"},
-        "family",
-    )
-    kind = _require(block, "kind", "family")
-    if kind in ("translating_bumps", "fixed_bumps"):
-        if spec is None:
-            raise ConfigError(f"{kind} family needs a grid block")
-        if spec.n != 1:
-            raise ConfigError(f"{kind} family is one-dimensional")
-    if kind == "translating_bumps":
-        return translating_bumps(
-            spec,
-            count=_number(block.get("count", 6), "family count", int),
-            spacing=_number(block.get("spacing", 1.0), "family spacing"),
-            width=_number(block.get("width", 0.5), "family width"),
-            height=_number(block.get("height", 2.0), "family height"),
-        )
-    if kind == "fixed_bumps":
-        centers = _numbers(block.get("centers", [0.0]), "family centers")
-        width = _number(block.get("width", 0.5), "family width")
-        height = _number(block.get("height", 1.0), "family height")
-        members = tuple(sample(spec, bump(c, width, height)) for c in centers)
-        return FunctionFamily(members, label="fixed bumps")
-    if kind == "solutions_dir":
-        directory = Path(_require(block, "dir", "family"))
-        bases = sorted(p.with_suffix("") for p in directory.glob("*.json")
-                       if p.with_suffix(".bin").exists())
-        if not bases:
-            raise ConfigError(f"no grid-function files in {directory}")
-        members = [load_grid_function(b) for b in bases]
-        level = block.get("truncation")
-        if level is not None:
-            members = [truncate(u, _number(level, "truncation")) for u in members]
-        return FunctionFamily(tuple(members), label=f"files:{directory.name}")
-    raise ConfigError(f"unknown family kind {kind!r}")
+FAMILY_REPORT = {"p": _number, "shift_grid": _numbers, "R_grid": _numbers,
+                 "K_grid": _numbers, "eps": _number}
+MODES = {
+    "kr": (kr_report, FAMILY_REPORT),
+    "ark": (ark_check, {**FAMILY_REPORT, "q": _nullable(_number)}),
+}
+COMPACTNESS = {"grid": _object, "family": _object, "net_eps": _number, "mode": _text,
+               "out": _text}
 
 
 def cmd_compactness(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args)
-    _check_keys(
-        cfg,
-        {"grid", "p", "q", "family", "shift_grid", "R_grid", "K_grid", "eps",
-         "net_eps", "mode", "out"},
-        "config",
-    )
-    spec = _build_grid(cfg["grid"]) if "grid" in cfg else None
-    fam = _build_family(_require(cfg, "family", "config"), spec)
-    spec = fam.spec
-    p = _number(_require(cfg, "p", "config"), "p")
-    eps = _number(cfg.get("eps", 0.1), "eps")
-    shift_grid = _numbers(cfg.get("shift_grid", [spec.h, 2 * spec.h]), "shift_grid")
-    R_grid = _numbers(
-        cfg.get("R_grid", [spec.L / 4.0, spec.L / 2.0, 3.0 * spec.L / 4.0]), "R_grid"
-    )
-    K_grid = _numbers(cfg.get("K_grid", [0.5, 1.0, 2.0]), "K_grid")
-    mode = cfg.get("mode", "ark")
-    net_eps = _number(cfg.get("net_eps", eps), "net_eps")
-
-    try:
-        if mode == "kr":
-            report = kr_report(fam, p, shift_grid, R_grid, K_grid, eps=eps)
-        elif mode == "ark":
-            report = ark_check(
-                fam, p, _optional_number(cfg, "q", "config"), shift_grid=shift_grid,
-                R_grid=R_grid, K_grid=K_grid, eps=eps,
-            )
-        else:
-            raise ConfigError(f"unknown mode {mode!r} (use 'kr' or 'ark')")
-        net = epsilon_net(fam, p, net_eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = _outdir(args, cfg)
+    report_fn, report_keys = _choice(MODES)(cfg.get("mode", "ark"), "config mode")
+    c = _block(cfg, "config", {**report_keys, **COMPACTNESS}, ("p", "family"))
+    spec = _build_grid(c["grid"]) if "grid" in c else None
+    fam = _build_family(c["family"], spec)
+    report = _call(report_fn, fam, **_present(c, report_keys))
+    net_eps = c.get("net_eps", report.eps)
+    net = _call(epsilon_net, fam, report.p, net_eps)
+    out = _outdir(args, c)
     payload = report.to_dict()
-    payload["epsilon_net"] = {"eps": net_eps,
-                              "indices": list(map(int, net))}
+    payload["epsilon_net"] = {"eps": net_eps, "indices": list(map(int, net))}
     write_json(out / "family_report.json", payload)
-    _write_manifest(out, cfg, args, started)
+    _write_manifest(out, cfg, started)
 
-    print(f"compactness: family '{fam.label}' size={len(fam)} p={p:g} eps={eps:g}")
+    print(f"compactness: family '{fam.label}' size={len(fam)} p={report.p:g} "
+          f"eps={report.eps:g}")
     for cond in ("translation", "tail", "superlevel"):
         print(f"  condition {cond:<12} {report.verdicts[cond]}")
     if report.ark_bound is not None:
@@ -473,36 +468,44 @@ def cmd_compactness(args) -> int:
     return EXIT_OK
 
 
+VERIFY = {"seed": _seed, "suites": _list_of(_text), "out": _text}
+
+
 def cmd_verify(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args)
-    _check_keys(cfg, {"seed", "suites", "out"}, "config")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    c = _block(cfg, "config", VERIFY)
+    seed = c.get("seed") if args.seed is None else _seed(args.seed, "--seed")
     if seed is None:
         raise ConfigError("verify requires a seed (--seed or config key 'seed')")
-    suites = args.suite or cfg.get("suites")
-    if suites is not None:
-        _list(suites, "suites")
-    out = _outdir(args, cfg)
-    try:
-        summary = run_verify(int(seed), out, suites=suites, threads=args.threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write_manifest(out, cfg, args, started)
+    out = _outdir(args, c)
+    summary = _call(run_verify, seed, out, suites=args.suite or c.get("suites"),
+                    threads=args.threads)
+    _write_manifest(out, cfg, started, seed)
     print(f"verify: {'PASS' if summary['passed'] else 'FAIL'} (seed {seed})")
     return EXIT_OK if summary["passed"] else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="output directory (default 'out')")
-    parser.add_argument("--seed", type=int, help="seed for randomized suites")
-    parser.add_argument("--tol", type=float, help="report tolerance override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent solves")
+FLAGS = {
+    "--seed": {"type": int, "help": "seed, an integer in [0, 2^64)"},
+    "--tol": {"type": float, "help": "report tolerance override"},
+    "--threads": {"type": int, "default": 1,
+                  "help": "worker threads for independent solves"},
+    "--suite": {"action": "append", "choices": list(SUITE_NAMES),
+                "help": "run only this suite (repeatable)"},
+}
+COMMANDS = {
+    "solve": (cmd_solve, "minimize the discrete energy for one datum", ()),
+    "pipeline": (cmd_pipeline, "run the regularized solve sequence and all checks",
+                 ("--tol", "--threads")),
+    "confinement": (cmd_confinement, "tabulate bad-set measures for a potential",
+                    ("--seed",)),
+    "compactness": (cmd_compactness, "family diagnostics and epsilon nets", ()),
+    "verify": (cmd_verify, "run the seeded property suites",
+               ("--seed", "--threads", "--suite")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,30 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "solve": (cmd_solve, "minimize the discrete energy for one datum"),
-        "pipeline": (cmd_pipeline, "run the regularized solve sequence and all checks"),
-        "confinement": (cmd_confinement, "tabulate bad-set measures for a potential"),
-        "compactness": (cmd_compactness, "family diagnostics and epsilon nets"),
-        "verify": (cmd_verify, "run the seeded property suites"),
-    }
-    for name, (handler, help_text) in handlers.items():
+    for name, (handler, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "verify":
-            p.add_argument(
-                "--suite", action="append", choices=list(SUITE_NAMES),
-                help="run only this suite (repeatable)",
-            )
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output directory (default 'out')")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("error: seed must fit in u64", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.handler(args)
     except ConfigError as exc:

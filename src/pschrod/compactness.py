@@ -257,9 +257,9 @@ def _axis_shifts(spec: GridSpec, magnitude: float) -> list[np.ndarray]:
 def kr_report(
     fam: FunctionFamily,
     p,
-    shift_grid,
-    R_grid,
-    K_grid,
+    shift_grid=None,
+    R_grid=None,
+    K_grid=None,
     eps: float = 0.1,
 ) -> FamilyReport:
     """Evaluate the three compactness condition maps for a finite family.
@@ -269,9 +269,17 @@ def kr_report(
     2n axis directions.  Verdicts compare the most favorable grid point
     against ``eps``: smallest shift for the modulus, largest radius for
     tails, largest level for superlevels (integral-type maps against
-    ``eps**p``, the measure-type map against ``eps``).
+    ``eps**p``, the measure-type map against ``eps``).  The grids default
+    to ``[h, 2h]``, ``[L/4, L/2, 3L/4]`` and ``[0.5, 1, 2]``.
     """
     p = float(p)
+    spec = fam.spec
+    if shift_grid is None:
+        shift_grid = [spec.h, 2 * spec.h]
+    if R_grid is None:
+        R_grid = [spec.L / 4.0, spec.L / 2.0, 3.0 * spec.L / 4.0]
+    if K_grid is None:
+        K_grid = [0.5, 1.0, 2.0]
     shift_grid = [float(s) for s in shift_grid]
     R_grid = [float(R) for R in R_grid]
     K_grid = [float(K) for K in K_grid]
@@ -329,14 +337,6 @@ def ark_check(
     q = p if q is None else float(q)
     if not q > 1:
         raise ValueError(f"weak-norm exponent q must exceed 1, got {q!r}")
-    spec = fam.spec
-    h = spec.h
-    if shift_grid is None:
-        shift_grid = [h, 2 * h, 4 * h]
-    if R_grid is None:
-        R_grid = [spec.L / 4.0, spec.L / 2.0, 3.0 * spec.L / 4.0]
-    if K_grid is None:
-        K_grid = [0.5, 1.0, 2.0]
 
     bound = max(
         lp_norm(f, p) + weak_lq_quasinorm(_gradient_magnitude(f), q)

@@ -159,19 +159,15 @@ def check_tail_bound(
 
 def check_stability(
     res_k: SolveResult, res_l: SolveResult, f_k: GridFunction, f_l: GridFunction,
-    prob: Problem, t: float, tol: float = 0.05, cp_scale: float = 1.0,
+    prob: Problem, t: float, tol: float = 0.05,
 ) -> EstimateReport:
-    """``||T_t(u_k - u_l)||_X^p <= C_p t ||f_k - f_l||_1`` with ``C_p = 2^(p-2)``.
-
-    ``cp_scale`` rescales the constant; it exists so a deliberately wrong
-    constant can be shown to fail (debug hook, default 1).
-    """
+    """``||T_t(u_k - u_l)||_X^p <= C_p t ||f_k - f_l||_1`` with ``C_p = 2^(p-2)``."""
     p = prob.p
     if not t > 0:
         raise ValueError(f"truncation level must be positive, got {t!r}")
     diff = res_k.u - res_l.u
     lhs = x_norm_p(truncate(diff, t), prob.V, p)
-    c_p = 2.0 ** (p - 2.0) * cp_scale
+    c_p = 2.0 ** (p - 2.0)
     rhs = c_p * t * integrate((f_k - f_l).abs())
     return EstimateReport(
         "stability", lhs, rhs, tol, _base_context(prob, t=t, C_p=c_p),
@@ -319,9 +315,10 @@ class SchemeConfig:
     tol: float = 0.05
     tol_residual: float | None = None
     max_iters: int = 100
-    stability_cp_scale: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol!r}")
         ks = tuple(float(k) for k in self.k_list)
         if not ks:
             raise ValueError("k_list must be nonempty")
@@ -351,7 +348,7 @@ class SchemeResult:
     caveat: str = FINITE_SEQUENCE_CAVEAT
 
     @property
-    def reference_k(self) -> float:
+    def reference_k(self) -> float | None:
         return self.convergence["reference_k"]
 
     def failed_reports(self) -> list[EstimateReport]:
@@ -396,7 +393,8 @@ def run_scheme(
     Solves run concurrently when ``threads > 1``; report assembly is a
     deterministic sequential reduction in k order, so results do not depend
     on the schedule.  Non-convergent levels are flagged and their reports
-    omitted.
+    omitted; when no level converges the result has no reports and no
+    reference level (``reference_k`` is None).
     """
     V_g = sample_potential(V, f.spec)
     jobs = [(f, V_g, p, k, cfg, regularizer) for k in cfg.k_list]
@@ -417,8 +415,6 @@ def run_scheme(
         if not res.converged:
             failed.append(k)
     good = [k for k in cfg.k_list if k not in failed]
-    if not good:
-        raise RuntimeError("no truncation level converged; nothing to report")
 
     f_l1 = integrate(f.abs())
     reports: list[EstimateReport] = []
@@ -440,8 +436,7 @@ def run_scheme(
         for l in good[i + 1:]:
             for t in cfg.t_grid:
                 rep = check_stability(
-                    solutions[k], solutions[l], data[k], data[l], probs[k], t,
-                    tol=cfg.tol, cp_scale=cfg.stability_cp_scale,
+                    solutions[k], solutions[l], data[k], data[l], probs[k], t, tol=cfg.tol
                 )
                 rep.context["k"] = k
                 rep.context["l"] = l
@@ -458,8 +453,8 @@ def run_scheme(
         for eps in cfg.eps_grid
     }
 
-    k_ref = good[-1]
-    u_ref = solutions[k_ref].u
+    k_ref = good[-1] if good else None
+    u_ref = solutions[k_ref].u if good else None
     x = f.spec.axis_coords()
     centre_in = np.abs(0.5 * (x[:-1] + x[1:])) <= f.spec.L / 2.0
     sub_box = reduce(np.logical_and.outer, [centre_in] * f.spec.n).ravel()

@@ -26,6 +26,7 @@ __all__ = [
     "ConfinementReport",
     "polynomial_trap",
     "sparse_wells",
+    "constant_potential",
     "sample_potential",
     "bad_set_measure",
     "bad_set_measure_mc",
@@ -152,6 +153,17 @@ def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
     )
 
 
+def constant_potential(value: float = 1.0, gamma: float = 1.0) -> Potential:
+    """``V = value`` everywhere, stated with the pair (1, gamma)."""
+    if value < 1.0:
+        raise ValueError("constant potential must be >= 1")
+
+    def evaluator(*coords):
+        return np.full(np.shape(np.asarray(coords[0], dtype=float)), value)
+
+    return Potential(evaluator, kappa=1.0, gamma=gamma, label=f"constant({value:g})")
+
+
 def sample_potential(V: Potential, spec: GridSpec) -> GridFunction:
     """Sample V on the grid, enforcing the lower bound V >= 1."""
     Vg = sample(spec, V.evaluator)
@@ -175,8 +187,8 @@ def bad_set_measure(V: Potential, spec: GridSpec, R: float,
     return float(np.sum(spec.weights()[mask]))
 
 
-def bad_set_measure_mc(V: Potential, spec: GridSpec, R: float,
-                       samples: int, seed: int) -> float:
+def bad_set_measure_mc(V: Potential, spec: GridSpec, R: float, *,
+                       seed: int, samples: int = 100_000) -> float:
     """Seeded Monte Carlo estimate of the bad-set measure inside the box.
 
     Cross-check for wells narrower than the grid spacing, where node-based

@@ -28,6 +28,7 @@ __all__ = [
     "identity_case",
     "bump",
     "translating_bumps",
+    "fixed_bumps",
     "manufactured_p2_solution",
     "manufactured_p2_datum",
     "manufactured_p4_datum",
@@ -48,14 +49,29 @@ def bump(center: float, width: float, height: float):
     return f
 
 
+def _bump_family(spec: GridSpec, centers, width: float, height: float,
+                 label: str) -> FunctionFamily:
+    if spec.n != 1:
+        raise ValueError(f"{label} family is one-dimensional")
+    return FunctionFamily(
+        tuple(sample(spec, bump(c, width, height)) for c in centers), label=label
+    )
+
+
 def translating_bumps(
-    spec: GridSpec, count: int, spacing: float, width: float, height: float
+    spec: GridSpec, count: int = 6, spacing: float = 1.0, width: float = 0.5,
+    height: float = 2.0,
 ) -> FunctionFamily:
     """Bumps centred at ``spacing * j``, j = 1..count: mass escaping to infinity."""
-    members = tuple(
-        sample(spec, bump(spacing * j, width, height)) for j in range(1, count + 1)
-    )
-    return FunctionFamily(members, label="translating bumps")
+    centers = [spacing * j for j in range(1, count + 1)]
+    return _bump_family(spec, centers, width, height, "translating bumps")
+
+
+def fixed_bumps(
+    spec: GridSpec, centers=(0.0,), width: float = 0.5, height: float = 1.0
+) -> FunctionFamily:
+    """Bumps at fixed ``centers``: a family that stays put."""
+    return _bump_family(spec, centers, width, height, "fixed bumps")
 
 
 def standard_grid(m: int = 257, L: float = 8.0) -> GridSpec:
@@ -70,21 +86,12 @@ def two_bump_datum(spec: GridSpec) -> GridFunction:
     return sample(spec, two_bump)
 
 
-def standard_scheme_config(
-    k_list=(1.0, 2.0, 4.0, 8.0, 16.0),
-    t_grid=(0.1, 0.5, 1.0, 2.0, 5.0),
-    R_grid=(2.0, 4.0, 6.0),
-    alpha_grid=(0.5, 1.0, 2.0),
-    tol=0.05,
-    **kwargs,
-) -> SchemeConfig:
+def standard_scheme_config() -> SchemeConfig:
+    """Levels k in {1, 2, 4, 8, 16}; the R grid and tolerance are SchemeConfig's."""
     return SchemeConfig(
-        k_list=tuple(k_list),
-        t_grid=tuple(t_grid),
-        R_grid=tuple(R_grid),
-        alpha_grid=tuple(alpha_grid),
-        tol=tol,
-        **kwargs,
+        k_list=(1.0, 2.0, 4.0, 8.0, 16.0),
+        t_grid=(0.1, 0.5, 1.0, 2.0, 5.0),
+        alpha_grid=(0.5, 1.0, 2.0),
     )
 
 
@@ -129,12 +136,7 @@ def small_scheme(
     p: float, threads: int = 1, regularizer=regularize_datum
 ) -> SchemeResult:
     """Reduced standard experiment: m = 129, levels k in {1, 2, 4, 8}."""
-    cfg = SchemeConfig(
-        k_list=(1.0, 2.0, 4.0, 8.0),
-        t_grid=(0.5, 1.0, 2.0),
-        alpha_grid=(0.5, 1.0),
-        R_grid=(2.0, 4.0, 6.0),
-    )
+    cfg = SchemeConfig(k_list=(1.0, 2.0, 4.0, 8.0), t_grid=(0.5, 1.0, 2.0))
     f = two_bump_datum(standard_grid(m=129))
     return run_scheme(
         f, standard_potential(), p, cfg, regularizer=regularizer, threads=threads

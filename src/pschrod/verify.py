@@ -178,10 +178,8 @@ def _suite_sparse_wells(rng: np.random.Generator, threads: int) -> dict:
 def _suite_compactness(rng: np.random.Generator, threads: int) -> dict:
     spec = GridSpec(n=1, L=8.0, m=257)
     eps = 0.3
-    translates = translating_bumps(spec, count=7, spacing=1.0, width=0.5, height=2.0)
-    rep_translates = kr_report(
-        translates, 2.0, [spec.h, 2 * spec.h], [2.0, 4.0, 6.0], [0.5, 1.0], eps=eps
-    )
+    translates = translating_bumps(spec, count=7)
+    rep_translates = kr_report(translates, 2.0, K_grid=[0.5, 1.0], eps=eps)
 
     scheme = small_scheme(2.0, threads)
     t = 1.0
@@ -189,11 +187,7 @@ def _suite_compactness(rng: np.random.Generator, threads: int) -> dict:
         tuple(truncate(scheme.solutions[k].u, t) for k in scheme.k_list),
         label="truncated solutions",
     )
-    h = fam.spec.h
-    rep_solutions = ark_check(
-        fam, 2.0, shift_grid=[h, 2 * h], R_grid=[2.0, 4.0, 6.0],
-        K_grid=[0.5, 1.0], eps=eps,
-    )
+    rep_solutions = ark_check(fam, 2.0, K_grid=[0.5, 1.0], eps=eps)
     net = epsilon_net(fam, 2.0, eps)
     coverage = max(
         min(lambda_dist(f, fam.members[i], 2.0) for i in net) for f in fam.members

@@ -285,6 +285,12 @@ def test_scheme_config_validation():
         SchemeConfig(k_list=(1.0, 2.0), t_grid=())
 
 
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan])
+def test_scheme_config_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="finite"):
+        SchemeConfig(k_list=(1.0,), t_grid=(1.0,), tol=tol)
+
+
 def test_run_scheme_zero_datum():
     spec = GridSpec(1, 8.0, 65)
     f = GridFunction(spec, np.zeros(65))
