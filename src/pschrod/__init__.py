@@ -42,7 +42,8 @@ from .grid import (
     abs_power,
     annulus_integrate,
     cell_gradient_matrix,
-    cell_gradient_norm,
+    cell_gradient_squared,
+    energy_sums,
     gradient,
     integrate,
     load_grid_function,

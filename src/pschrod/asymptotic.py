@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .grid import GridFunction, _check_same_spec, abs_power, cell_gradient_norm, integrate
+from .grid import GridFunction, _check_same_spec, abs_power, energy_sums, integrate
 
 __all__ = [
     "ExponentP",
@@ -53,8 +53,7 @@ class ExponentP:
     degenerate_ok: bool = False
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError(f"exponent p must be >= 1, got {self.p!r}")
+        _as_p(self.p)
         if self.degenerate_ok and self.p < 2:
             raise ValueError(
                 f"degenerate range requires p >= 2, got p = {self.p!r}"
@@ -171,7 +170,8 @@ def x_norm_p(u: GridFunction, V: GridFunction, p) -> float:
     """p-th power of the energy norm, in the solver's discretization.
 
     ``||u||_X^p = h^n sum_cells |G u|^p + integral V |u|^p`` with G the
-    cell gradient of the solver's energy (:func:`pschrod.grid.cell_gradient_norm`).
+    cell gradient of the solver's energy, from the sums of
+    :func:`pschrod.grid.energy_sums` that the solver's energy also takes.
     Requires V >= 1 everywhere; then the energy norm dominates the Lp norm.
     """
     p = _as_p(p)
@@ -179,10 +179,8 @@ def x_norm_p(u: GridFunction, V: GridFunction, p) -> float:
     vmin = float(np.min(V.values))
     if vmin < 1.0:
         raise ValueError(f"potential must satisfy V >= 1 at every node, min is {vmin}")
-    grad = cell_gradient_norm(u)
-    kinetic = u.spec.h**u.spec.n * float(np.sum(abs_power(grad, p, out=grad)))
-    weighted = integrate(GridFunction(u.spec, V.values * abs_power(u.values, p)))
-    return kinetic + weighted
+    kinetic, zero_order = energy_sums(u.values, V.values, u.spec, p)
+    return u.spec.h**u.spec.n * kinetic + zero_order
 
 
 def weak_lq_quasinorm(u: GridFunction, q) -> float:

@@ -7,8 +7,8 @@ array with one column per axis.  Integrals are tensor-product trapezoid
 sums, so all quadrature weights are positive and one-sided inequality
 checks stay one-sided.  Annulus integrals mask whole nodes (no cell clipping); the
 induced O(h) geometric error is absorbed by report tolerances downstream.
-Cell-centred gradients, which the solver's energy and the energy norm
-share, come from one sparse operator, :func:`cell_gradient_matrix`.
+The solver's energy and the energy norm share one cell-centred gradient,
+:func:`cell_gradient_matrix`, and one pair of sums, :func:`energy_sums`.
 Positive powers of grid data go through :func:`abs_power`, which keeps
 libm off its slow underflow path on decaying solutions.
 
@@ -34,7 +34,8 @@ __all__ = [
     "sample",
     "gradient",
     "cell_gradient_matrix",
-    "cell_gradient_norm",
+    "cell_gradient_squared",
+    "energy_sums",
     "abs_power",
     "integrate",
     "annulus_integrate",
@@ -71,6 +72,8 @@ class GridSpec:
     m: int
 
     def __post_init__(self):
+        if any(isinstance(v, bool) for v in (self.n, self.L, self.m)):
+            raise ValueError(f"n, L and m must be numbers, not booleans: {self!r}")
         if not isinstance(self.n, int) or not 1 <= self.n <= 3:
             raise ValueError(f"dimension n must be an integer in [1, 3], got {self.n!r}")
         if not self.L > 0:
@@ -191,9 +194,6 @@ class GridFunction:
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.spec.shape)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.spec, values)
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _check_same_spec(self, other)
         return GridFunction(self.spec, self.values + other.values)
@@ -220,6 +220,11 @@ class GridFunction:
 def _check_same_spec(u: GridFunction, v: GridFunction) -> None:
     if u.spec != v.spec:
         raise ValueError(f"grid mismatch: {u.spec.describe()} vs {v.spec.describe()}")
+
+
+def _require_zero_boundary(u: GridFunction, who: str) -> None:
+    if np.any(u.values[u.spec.boundary_mask()] != 0.0):
+        raise ValueError(f"{who} must vanish on the box boundary (support inside the box)")
 
 
 def sample(spec: GridSpec, field: Callable) -> GridFunction:
@@ -255,9 +260,6 @@ def sample(spec: GridSpec, field: Callable) -> GridFunction:
         vals = np.empty(spec.num_nodes)
         for i in range(spec.num_nodes):
             vals[i] = float(field(*pts[i]))
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"field is non-finite at node {bad} (x = {pts[bad]})")
     return GridFunction(spec, vals)
 
 
@@ -303,10 +305,25 @@ def cell_gradient_matrix(spec: GridSpec) -> sp.csr_matrix:
     return G
 
 
-def cell_gradient_norm(u: GridFunction) -> np.ndarray:
-    """``|G u|`` at every cell centre, G the :func:`cell_gradient_matrix`."""
-    comps = (cell_gradient_matrix(u.spec) @ u.values).reshape(u.spec.n, -1)
-    return np.sqrt(np.sum(comps * comps, axis=0))
+def cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Components of ``G v``, shaped ``(n, cells)``, and ``|G v|^2`` per cell."""
+    comps = (cell_gradient_matrix(spec) @ v).reshape(spec.n, -1)
+    return comps, np.sum(comps * comps, axis=0)
+
+
+def energy_sums(v: np.ndarray, V: np.ndarray, spec: GridSpec, p: float,
+                cells: np.ndarray | None = None) -> tuple[float, float]:
+    """``(sum_cells |G v|^p, sum_nodes w V |v|^p)`` for nodal arrays v and V.
+
+    ``||v||_X^p`` is ``h^n`` times the first sum plus the second.  ``cells``,
+    a boolean mask over cells (row-major), restricts the first sum.
+    """
+    _, s = cell_gradient_squared(v, spec)
+    if cells is not None:
+        s = s[cells]
+    kinetic = float(np.sum(abs_power(s, p / 2.0, out=s)))
+    zero_order = float(np.dot(spec.weights(), V * abs_power(v, p)))
+    return kinetic, zero_order
 
 
 def abs_power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:

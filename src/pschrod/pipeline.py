@@ -43,15 +43,16 @@ from .asymptotic import (
 )
 from .grid import (
     GridFunction,
+    _require_zero_boundary,
     abs_power,
-    cell_gradient_norm,
+    energy_sums,
     gradient,
     integrate,
     save_grid_function,
     write_json,
 )
 from .potentials import Potential, bad_set_measure, sample_potential
-from .solver import Problem, SolveResult, pflux, solve
+from .solver import MAX_ITERS, Problem, SolveResult, pflux, solve
 
 __all__ = [
     "SchemeConfig",
@@ -73,6 +74,8 @@ __all__ = [
 
 FINITE_SEQUENCE_CAVEAT = "finite-sequence surrogate"
 
+REPORT_TOL = 0.05  # default relative tolerance of every estimate report
+
 
 def regularize_datum(f: GridFunction, k: float) -> GridFunction:
     """Canonical regularization ``T_k(f) . indicator(|x| < k)``.
@@ -87,17 +90,17 @@ def regularize_datum(f: GridFunction, k: float) -> GridFunction:
     return GridFunction(f.spec, clipped)
 
 
-def mollify_datum(f: GridFunction, k: float, width0: float = 0.5) -> GridFunction:
+def mollify_datum(f: GridFunction, k: float) -> GridFunction:
     """Alternative regularization: canonical step followed by smoothing.
 
     Convolves ``regularize_datum(f, k)`` with a normalized triangular
-    kernel of physical half-width ``width0 / k**2``.  The width collapses
+    kernel of physical half-width ``0.5 / k**2``.  The width collapses
     below the grid spacing as k grows (the kernel degenerates to the
     identity), so the scheme converges to the same limit as the canonical
     one while its early members genuinely differ.
     """
     fk = regularize_datum(f, k)
-    delta = width0 / float(k) ** 2
+    delta = 0.5 / float(k) ** 2
     h = f.spec.h
     taps = int(np.floor(delta / h))
     if taps < 1:
@@ -123,7 +126,7 @@ def _base_context(prob: Problem, **extra) -> dict[str, Any]:
 
 
 def check_energy_estimate(
-    res: SolveResult, prob: Problem, t: float, f_ref_l1: float, tol: float = 0.05
+    res: SolveResult, prob: Problem, t: float, f_ref_l1: float, tol: float = REPORT_TOL
 ) -> EstimateReport:
     """``||T_t(u)||_X^p <= t * f_ref_l1`` for the solved u."""
     if not t > 0:
@@ -137,7 +140,7 @@ def check_energy_estimate(
 
 def check_tail_bound(
     res: SolveResult, prob: Problem, V: Potential, t: float, R: float,
-    tol: float = 0.05,
+    tol: float = REPORT_TOL,
 ) -> EstimateReport:
     """``tail(T_t u, R) <= |E_R| + t ||f||_1 / (kappa R^gamma)``.
 
@@ -159,7 +162,7 @@ def check_tail_bound(
 
 def check_stability(
     res_k: SolveResult, res_l: SolveResult, f_k: GridFunction, f_l: GridFunction,
-    prob: Problem, t: float, tol: float = 0.05,
+    prob: Problem, t: float, tol: float = REPORT_TOL,
 ) -> EstimateReport:
     """``||T_t(u_k - u_l)||_X^p <= C_p t ||f_k - f_l||_1`` with ``C_p = 2^(p-2)``."""
     p = prob.p
@@ -176,7 +179,7 @@ def check_stability(
 
 def check_superlevel_bound(
     res: SolveResult, prob: Problem, level: float, f_ref_l1: float,
-    tol: float = 0.05,
+    tol: float = REPORT_TOL,
 ) -> EstimateReport:
     """``|{|u| > m}| <= m^(1-p) ||f||_1`` for the solved u."""
     lhs = superlevel_measure(res.u, level)
@@ -200,11 +203,6 @@ def truncation_perturbation(
     return GridFunction(u.spec, vals)
 
 
-def _require_compact_support(phi: GridFunction, who: str) -> None:
-    if np.any(phi.values[phi.spec.boundary_mask()] != 0.0):
-        raise ValueError(f"{who} must be compactly supported inside the box")
-
-
 def identity_defect(
     res: SolveResult, prob: Problem, phi: GridFunction, alpha: float, t: float
 ) -> tuple[float, bool]:
@@ -220,7 +218,7 @@ def identity_defect(
     ``supp_ok`` confirms supp(Phi) is contained in supp(phi) node by node.
     Requires ``alpha > t + max|phi|``.
     """
-    _require_compact_support(phi, "phi")
+    _require_zero_boundary(phi, "phi")
     if not t > 0:
         raise ValueError(f"truncation level must be positive, got {t!r}")
     if not alpha > t + phi.max_abs():
@@ -240,7 +238,7 @@ def _identity_scale(prob: Problem, t: float) -> float:
 
 def check_localized_identity(
     res: SolveResult, prob: Problem, phi: GridFunction, alpha: float, t: float,
-    c_budget: float, tol: float = 0.05,
+    c_budget: float, tol: float = REPORT_TOL,
 ) -> EstimateReport:
     """Compare the identity defect against the budget ``c_budget * h * scale``.
 
@@ -259,20 +257,20 @@ def check_localized_identity(
 
 def estimate_identity_budget(
     make_case: Callable[[int], tuple[Problem, GridFunction]],
-    alpha: float, t: float, m_coarse: int, safety: float = 2.0,
+    alpha: float, t: float, m_coarse: int,
 ) -> float:
     """Measure the defect of one coarse solve and freeze a budget constant.
 
     ``make_case(m)`` must return the problem and test bump phi for the
     experiment at resolution m.  The returned constant is
-    ``safety * defect / (h * scale)`` at the coarse resolution; reports at
+    ``2 * defect / (h * scale)`` at the coarse resolution; reports at
     finer resolutions then pass exactly when the defect decays at least
     linearly in h relative to the coarse run.
     """
     prob, phi = make_case(m_coarse)
     res = solve(prob)
     defect, _ = identity_defect(res, prob, phi, alpha, t)
-    return safety * defect / (prob.spec.h * _identity_scale(prob, t))
+    return 2.0 * defect / (prob.spec.h * _identity_scale(prob, t))
 
 
 def distributional_residual(
@@ -283,7 +281,7 @@ def distributional_residual(
     ``grad`` is a nodal gradient of u, laid out as :func:`pschrod.grid.gradient`
     returns it: shape ``(m**n, n)``.
     """
-    _require_compact_support(psi, "psi")
+    _require_zero_boundary(psi, "psi")
     if np.shape(grad) != (u.spec.num_nodes, u.spec.n):
         raise ValueError(f"gradient must have shape {(u.spec.num_nodes, u.spec.n)}")
     p = prob.p
@@ -312,9 +310,9 @@ class SchemeConfig:
     alpha_grid: tuple[float, ...] = (0.5, 1.0)
     R_grid: tuple[float, ...] = (2.0, 4.0, 6.0)
     eps_grid: tuple[float, ...] = (0.1, 0.5, 1.0)
-    tol: float = 0.05
+    tol: float = REPORT_TOL
     tol_residual: float | None = None
-    max_iters: int = 100
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         if not np.isfinite(self.tol):
@@ -422,16 +420,12 @@ def run_scheme(
         res, prob = solutions[k], probs[k]
         fk_l1 = integrate(data[k].abs())
         for t in cfg.t_grid:
-            rep = check_energy_estimate(res, prob, t, fk_l1, tol=cfg.tol)
-            rep.context["k"] = k
-            reports.append(rep)
-            for R in cfg.R_grid:
-                rep = check_tail_bound(res, prob, V, t, R, tol=cfg.tol)
+            level = [check_energy_estimate(res, prob, t, fk_l1, tol=cfg.tol)]
+            level += [check_tail_bound(res, prob, V, t, R, tol=cfg.tol) for R in cfg.R_grid]
+            level.append(check_superlevel_bound(res, prob, t, f_l1, tol=cfg.tol))
+            for rep in level:
                 rep.context["k"] = k
-                reports.append(rep)
-            rep = check_superlevel_bound(res, prob, t, f_l1, tol=cfg.tol)
-            rep.context["k"] = k
-            reports.append(rep)
+            reports += level
     for i, k in enumerate(good):
         for l in good[i + 1:]:
             for t in cfg.t_grid:
@@ -458,20 +452,18 @@ def run_scheme(
     x = f.spec.axis_coords()
     centre_in = np.abs(0.5 * (x[:-1] + x[1:])) <= f.spec.L / 2.0
     sub_box = reduce(np.logical_and.outer, [centre_in] * f.spec.n).ravel()
-    w_sub = f.spec.h**f.spec.n * sub_box
     conv_rows = []
     for k in good:
         row = {"k": k, "lambda_dist_to_ref": lambda_dist(solutions[k].u, u_ref, p)}
-        per_alpha = {}
-        for alpha in cfg.alpha_grid:
-            diff = solutions[k].u - u_ref
-            per_alpha[alpha] = x_norm_p(truncate(diff, alpha), V_g, p)
-        row["trunc_xnorm_p_to_ref"] = per_alpha
+        row["trunc_xnorm_p_to_ref"] = {
+            alpha: x_norm_p(truncate(solutions[k].u - u_ref, alpha), V_g, p)
+            for alpha in cfg.alpha_grid
+        }
         grad_local = {}
         for alpha in cfg.alpha_grid:
             gap = truncate(solutions[k].u, alpha) - truncate(u_ref, alpha)
-            gap_norm = cell_gradient_norm(gap)
-            grad_local[alpha] = float(np.dot(w_sub, abs_power(gap_norm, p, out=gap_norm)))
+            kinetic, _ = energy_sums(gap.values, V_g.values, f.spec, p, cells=sub_box)
+            grad_local[alpha] = f.spec.h**f.spec.n * kinetic
         row["grad_gap_subbox_p"] = grad_local
         conv_rows.append(row)
 
@@ -504,7 +496,7 @@ def save_scheme_result(res: SchemeResult, outdir: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["k"] + [f"{k:g}" for k in res.k_list])
         for i, k in enumerate(res.k_list):
-            writer.writerow([f"{k:g}"] + [repr(x) for x in res.pairwise_lambda[i]])
+            writer.writerow([f"{k:g}"] + res.pairwise_lambda[i].tolist())
     diagnostics = {
         "p": res.p,
         "grid": res.grid,
@@ -512,8 +504,10 @@ def save_scheme_result(res: SchemeResult, outdir: str | Path) -> None:
         "failed_k": list(res.failed_k),
         "caveat": res.caveat,
         "convergence": res.convergence,
+        # a pair with a non-convergent level is NaN in the matrix and null here
         "measure_diag": {
-            repr(eps): mat.tolist() for eps, mat in res.measure_diag.items()
+            repr(eps): np.where(np.isnan(mat), None, mat).tolist()
+            for eps, mat in res.measure_diag.items()
         },
         "solves": {
             f"{k:g}": sol.diagnostics() for k, sol in res.solutions.items()

@@ -175,6 +175,11 @@ def sample_potential(V: Potential, spec: GridSpec) -> GridFunction:
     return Vg
 
 
+def _in_bad_set(V: Potential, r, values, R: float):
+    """``|x| >= R and V(x) < kappa |x|^gamma`` at radii r where V takes values."""
+    return (r >= R) & (values < V.kappa * r**V.gamma)
+
+
 def bad_set_measure(V: Potential, spec: GridSpec, R: float,
                     Vg: GridFunction | None = None) -> float:
     """Quadrature measure of ``{|x| >= R, V(x) < kappa |x|^gamma}`` on the grid."""
@@ -182,8 +187,7 @@ def bad_set_measure(V: Potential, spec: GridSpec, R: float,
         raise ValueError(f"radius must be nonnegative, got {R!r}")
     if Vg is None:
         Vg = sample_potential(V, spec)
-    r = spec.radii()
-    mask = (r >= R) & (Vg.values < V.kappa * r**V.gamma)
+    mask = _in_bad_set(V, spec.radii(), Vg.values, R)
     return float(np.sum(spec.weights()[mask]))
 
 
@@ -201,7 +205,7 @@ def bad_set_measure_mc(V: Potential, spec: GridSpec, R: float, *,
     vals = np.asarray(V.evaluator(*[pts[:, a] for a in range(spec.n)]),
                       dtype=np.float64)
     r = np.sqrt(np.sum(pts**2, axis=1))
-    hit = (r >= R) & (vals < V.kappa * r**V.gamma)
+    hit = _in_bad_set(V, r, vals, R)
     volume = (2.0 * spec.L) ** spec.n
     return float(volume * np.mean(hit))
 
@@ -212,18 +216,14 @@ def _witness_from_wells(V: Potential, spec: GridSpec, R0: float):
         norm = float(np.linalg.norm(c))
         if norm <= R0 or norm > spec.L * math.sqrt(spec.n):
             continue
-        if V.kappa * norm**V.gamma <= 1.0:
-            continue
         value = float(np.asarray(V.evaluator(*[np.asarray([x]) for x in c])).ravel()[0])
-        if value < V.kappa * norm**V.gamma:
+        if _in_bad_set(V, norm, value, R0):
             return tuple(float(x) for x in c), radius
     return None, None
 
 
 def _witness_from_nodes(V: Potential, spec: GridSpec, Vg: GridFunction, R0: float):
-    r = spec.radii()
-    mask = (r >= R0) & (V.kappa * r**V.gamma > 1.0) & (Vg.values < V.kappa * r**V.gamma)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(_in_bad_set(V, spec.radii(), Vg.values, R0))
     if idx.size == 0:
         return None
     return tuple(float(x) for x in spec.node_coords()[int(idx[0])])

@@ -74,8 +74,8 @@ def fixed_bumps(
     return _bump_family(spec, centers, width, height, "fixed bumps")
 
 
-def standard_grid(m: int = 257, L: float = 8.0) -> GridSpec:
-    return GridSpec(n=1, L=L, m=m)
+def standard_grid(m: int = 257) -> GridSpec:
+    return GridSpec(n=1, L=8.0, m=m)
 
 
 def standard_potential() -> Potential:
@@ -104,15 +104,15 @@ def manufactured_p2_datum(x):
     return (3.0 - 4.0 * x**2) * np.exp(-(x**2))
 
 
-def manufactured_p4_datum(spec: GridSpec, fine_factor: int = 10) -> GridFunction:
+def manufactured_p4_datum(spec: GridSpec) -> GridFunction:
     """p = 4 companion datum for the Gaussian profile, V = 1.
 
     The flux ``|u'|^2 u'`` of the closed-form profile is differentiated
-    numerically on a ``fine_factor`` times finer step, then
+    numerically on a ten times finer step, then
     ``f = -(|u'|^2 u')' + |u|^2 u`` is sampled at the nodes.
     """
     x = spec.axis_coords()
-    dh = spec.h / fine_factor
+    dh = spec.h / 10
 
     def flux(y):
         du = -2.0 * y * np.exp(-(y**2))
@@ -123,9 +123,9 @@ def manufactured_p4_datum(spec: GridSpec, fine_factor: int = 10) -> GridFunction
     return GridFunction(spec, -dflux + np.abs(u) ** 2 * u)
 
 
-def standard_problem_factory(p: float, m: int = 257, L: float = 8.0):
+def standard_problem_factory(p: float, m: int = 257):
     """(Problem, datum) builder for the standard trap + two-bump experiment."""
-    spec = standard_grid(m=m, L=L)
+    spec = standard_grid(m=m)
     V = sample_potential(standard_potential(), spec)
     f = two_bump_datum(spec)
     prob = Problem(spec=spec, p=p, V=V, f=f)

@@ -37,7 +37,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import GridFunction, GridSpec, abs_power, cell_gradient_matrix
+from .grid import (GridFunction, GridSpec, _require_zero_boundary, abs_power,
+                   cell_gradient_matrix, cell_gradient_squared, energy_sums)
 
 __all__ = [
     "Problem",
@@ -90,6 +91,9 @@ def monotonicity_margin(xi, eta, p: float) -> np.ndarray:
     return inner - monotonicity_lower_constant(p) * dist**p
 
 
+MAX_ITERS = 100  # default cap on Newton iterations per solve
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Datum, potential and exponent for one discrete energy minimization.
@@ -105,7 +109,7 @@ class Problem:
     f: GridFunction
     eps_reg: float | None = None
     tol_residual: float | None = None
-    max_iters: int = 100
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         p = float(self.p)
@@ -119,16 +123,13 @@ class Problem:
             raise ValueError("V and f must live on the problem grid")
         if float(np.min(self.V.values)) < 1.0:
             raise ValueError("potential must satisfy V >= 1 at every node")
-        scale = max(1.0, self.f.max_abs())
+        fmax = self.f.max_abs()
         if self.eps_reg is None:
-            object.__setattr__(self, "eps_reg", 1e-8 * scale)
+            object.__setattr__(self, "eps_reg", 1e-8 * max(1.0, fmax))
         elif self.eps_reg < 0:
             raise ValueError("eps_reg must be nonnegative")
         if self.tol_residual is None:
-            fmax = self.f.max_abs()
-            object.__setattr__(
-                self, "tol_residual", 1e-8 * fmax if fmax > 0 else 1e-15
-            )
+            object.__setattr__(self, "tol_residual", 1e-8 * fmax if fmax > 0 else 1e-15)
         elif not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
         if self.max_iters < 1:
@@ -174,28 +175,20 @@ def _gradient_transpose(spec: GridSpec) -> sp.csr_matrix:
     return cell_gradient_matrix(spec).T.tocsr()
 
 
-def _cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Components of G v, shaped (n, ncells), and |G v|^2 per cell."""
-    comps = (cell_gradient_matrix(spec) @ v).reshape(spec.n, -1)
-    return comps, np.sum(comps * comps, axis=0)
-
-
 def _energy_arrays(v: np.ndarray, prob: Problem) -> float:
+    """J(v) = ``(h^n/p) S + Z/p - <f, v>`` with ``(S, Z)`` from :func:`energy_sums`."""
     spec = prob.spec
     p = prob.p
-    _, s = _cell_gradient_squared(v, spec)
-    kinetic = spec.h**spec.n / p * float(np.sum(abs_power(s, p / 2.0, out=s)))
-    w = spec.weights()
-    zero_order = float(np.dot(w, prob.V.values * abs_power(v, p))) / p
-    source = float(np.dot(w, prob.f.values * v))
-    return kinetic + zero_order - source
+    kinetic, zero_order = energy_sums(v, prob.V.values, spec, p)
+    source = float(np.dot(spec.weights(), prob.f.values * v))
+    return spec.h**spec.n / p * kinetic + zero_order / p - source
 
 
 def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
     """Exact gradient of J with respect to all nodal values (full array)."""
     spec = prob.spec
     p = prob.p
-    comps, s = _cell_gradient_squared(v, spec)
+    comps, s = cell_gradient_squared(v, spec)
     weight = abs_power(s, (p - 2.0) / 2.0, out=s)
     g = spec.h**spec.n * (_gradient_transpose(spec) @ (weight * comps).ravel())
     w = spec.weights()
@@ -311,7 +304,7 @@ def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix
     spec = prob.spec
     p = prob.p
     pattern = _hessian_pattern(spec)
-    comps, s = _cell_gradient_squared(v, spec)
+    comps, s = cell_gradient_squared(v, spec)
     s += eps * eps
     w1 = s ** ((p - 2.0) / 2.0)
     # p = 2 has no second term; skipping it avoids 0 * inf where s = 0
@@ -360,7 +353,10 @@ def _line_preconditioner(H: sp.csr_matrix, m: int):
     are factored once as ``L D L^T`` by LAPACK ``dpttrf``.
     """
     band = _line_band(H, m)
-    d, e, info = dpttrf(band[1], band[0, 1:], overwrite_d=True, overwrite_e=True)
+    # the last max(size - 1, 1) entries: the superdiagonal, or for one unknown
+    # the zero band[0, 0], since LAPACK wants an (unread) entry there too
+    e = band[0, 1 - band.shape[1]:]
+    d, e, info = dpttrf(band[1], e, overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"line block of the Newton matrix is not positive definite (dpttrf info {info})"
@@ -395,16 +391,11 @@ def _newton_solve(H: sp.csr_matrix, rhs: np.ndarray, m: int) -> tuple[np.ndarray
 # public operations
 
 
-def _require_zero_boundary(v: GridFunction) -> None:
-    if np.any(v.values[v.spec.boundary_mask()] != 0.0):
-        raise ValueError("candidate must vanish on the box boundary")
-
-
 def energy(v: GridFunction, prob: Problem) -> float:
     """Discrete energy J(v); v must vanish on the boundary."""
     if v.spec != prob.spec:
         raise ValueError("candidate lives on a different grid")
-    _require_zero_boundary(v)
+    _require_zero_boundary(v, "candidate")
     return _energy_arrays(v.values, prob)
 
 
@@ -417,7 +408,7 @@ def residual(v: GridFunction, prob: Problem) -> GridFunction:
     """
     if v.spec != prob.spec:
         raise ValueError("candidate lives on a different grid")
-    _require_zero_boundary(v)
+    _require_zero_boundary(v, "candidate")
     g = _gradient_arrays(v.values, prob)
     r = g / prob.spec.weights()
     r[prob.spec.boundary_mask()] = 0.0

@@ -9,7 +9,7 @@ from pschrod.grid import (
     abs_power,
     annulus_integrate,
     cell_gradient_matrix,
-    cell_gradient_norm,
+    cell_gradient_squared,
     gradient,
     integrate,
     load_grid_function,
@@ -28,6 +28,16 @@ def test_spec_validation():
         GridSpec(n=1, L=0.0, m=5)
     with pytest.raises(ValueError):
         GridSpec(n=1, L=1.0, m=2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n": True, "L": 8.0, "m": 5},
+    {"n": 1, "L": True, "m": 5},
+    {"n": 1, "L": 8.0, "m": True},
+])
+def test_spec_rejects_booleans(kwargs):
+    with pytest.raises(ValueError, match="boolean"):
+        GridSpec(**kwargs)
 
 
 def test_spec_node_coords_reproducible():
@@ -127,8 +137,8 @@ def test_cell_gradient_exact_on_affine(n):
     comps = (G @ u).reshape(n, -1)
     for a in range(n):
         assert np.allclose(comps[a], coef[a], rtol=0, atol=1e-12)
-    norm = cell_gradient_norm(GridFunction(spec, u))
-    assert np.allclose(norm, np.linalg.norm(coef), rtol=0, atol=1e-12)
+    _, norm2 = cell_gradient_squared(u, spec)
+    assert np.allclose(np.sqrt(norm2), np.linalg.norm(coef), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -394,3 +394,31 @@ def test_save_scheme_result_files(small_scheme_p3, tmp_path):
     reports = json.loads((tmp_path / "reports.json").read_text())
     assert len(reports) == len(res.reports)
     assert all(r["pass"] for r in reports)
+
+
+def test_save_scheme_result_distances_are_numbers(small_scheme_p3, tmp_path):
+    import csv
+
+    save_scheme_result(small_scheme_p3, tmp_path)
+    with open(tmp_path / "distances.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    cells = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    assert np.array_equal(cells[:, 1:], small_scheme_p3.pairwise_lambda)
+
+
+def test_save_scheme_result_non_convergent_pairs_are_null(tmp_path):
+    import json
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    spec = GridSpec(1, 8.0, 65)
+    cfg = SchemeConfig(k_list=(1.0, 2.0, 4.0), t_grid=(1.0,), R_grid=(4.0,),
+                       max_iters=1, tol_residual=1e-14)
+    res = run_scheme(two_bump_datum(spec), standard_potential(), 4.0, cfg)
+    assert len(res.failed_k) >= 2
+    save_scheme_result(res, tmp_path)
+    diagnostics = json.loads((tmp_path / "diagnostics.json").read_text(),
+                             parse_constant=reject)
+    for mat in diagnostics["measure_diag"].values():
+        assert mat[0][1] is None and mat[1][0] is None
