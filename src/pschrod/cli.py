@@ -251,7 +251,7 @@ DATA = {
 
 def _build_datum(block: dict, spec: GridSpec) -> GridFunction:
     _, build, args = _kind(block, "datum", DATA)
-    return build(spec, **args)
+    return _call(build, spec, **args)
 
 
 def _solutions_family(dir: str, truncation: float | None = None) -> FunctionFamily:
@@ -348,7 +348,7 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args)
     c = _block(cfg, "config", {**PROBLEM, "solver": _object}, PROBLEM_REQUIRED)
     spec = _build_grid(c["grid"])
-    V = sample_potential(_build_potential(c["potential"]), spec)
+    V = _call(sample_potential, _build_potential(c["potential"]), spec)
     f = _build_datum(c["datum"], spec)
     solver = _block(c.get("solver", {}), "solver", SOLVER)
     prob = _call(Problem, spec=spec, p=c["p"], V=V, f=f, **solver)
@@ -376,10 +376,8 @@ def cmd_pipeline(args) -> int:
     spec = _build_grid(c["grid"])
     pot = _build_potential(c["potential"])
     f = _build_datum(c["datum"], spec)
-    scheme = _block(c["scheme"], "scheme", SCHEME, ("k_list", "t_grid"))
-    if args.tol is not None:
-        scheme["tol"] = args.tol
-    scheme_cfg = _call(SchemeConfig, **scheme)
+    scheme_cfg = _call(SchemeConfig, **_block(c["scheme"], "scheme", SCHEME,
+                                              ("k_list", "t_grid")))
     result = _call(run_scheme, f, pot, c["p"], scheme_cfg, threads=args.threads,
                    **_present(c, ["regularizer"]))
     out = _outdir(args, c)
@@ -490,7 +488,6 @@ def cmd_verify(args) -> int:
 
 FLAGS = {
     "--seed": {"type": int, "help": "seed, an integer in [0, 2^64)"},
-    "--tol": {"type": float, "help": "report tolerance override"},
     "--threads": {"type": int, "default": 1,
                   "help": "worker threads for independent solves"},
     "--suite": {"action": "append", "choices": list(SUITE_NAMES),
@@ -499,7 +496,7 @@ FLAGS = {
 COMMANDS = {
     "solve": (cmd_solve, "minimize the discrete energy for one datum", ()),
     "pipeline": (cmd_pipeline, "run the regularized solve sequence and all checks",
-                 ("--tol", "--threads")),
+                 ("--threads",)),
     "confinement": (cmd_confinement, "tabulate bad-set measures for a potential",
                     ("--seed",)),
     "compactness": (cmd_compactness, "family diagnostics and epsilon nets", ()),

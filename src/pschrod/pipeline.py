@@ -66,7 +66,7 @@ __all__ = [
     "truncation_perturbation",
     "identity_defect",
     "check_localized_identity",
-    "estimate_identity_budget",
+    "identity_budget",
     "distributional_residual",
     "run_scheme",
     "save_scheme_result",
@@ -244,7 +244,7 @@ def check_localized_identity(
 
     The identity is exact in the continuum; the budget quantifies the
     discretization error.  Calibrate ``c_budget`` once per experiment with
-    :func:`estimate_identity_budget` and keep it frozen across refinements.
+    :func:`identity_budget` and keep it frozen across refinements.
     """
     defect, supp_ok = identity_defect(res, prob, phi, alpha, t)
     rhs = c_budget * prob.spec.h * _identity_scale(prob, t)
@@ -255,21 +255,14 @@ def check_localized_identity(
     )
 
 
-def estimate_identity_budget(
-    make_case: Callable[[int], tuple[Problem, GridFunction]],
-    alpha: float, t: float, m_coarse: int,
-) -> float:
-    """Measure the defect of one coarse solve and freeze a budget constant.
+def identity_budget(defect: float, prob: Problem, t: float) -> float:
+    """Freeze a budget constant from the identity defect of one coarse solve.
 
-    ``make_case(m)`` must return the problem and test bump phi for the
-    experiment at resolution m.  The returned constant is
-    ``2 * defect / (h * scale)`` at the coarse resolution; reports at
-    finer resolutions then pass exactly when the defect decays at least
-    linearly in h relative to the coarse run.
+    ``defect`` is the :func:`identity_defect` of the solution of ``prob``
+    at level ``t``.  The returned constant is ``2 * defect / (h * scale)``;
+    reports at finer resolutions then pass exactly when the defect decays
+    at least linearly in h relative to the coarse run.
     """
-    prob, phi = make_case(m_coarse)
-    res = solve(prob)
-    defect, _ = identity_defect(res, prob, phi, alpha, t)
     return 2.0 * defect / (prob.spec.h * _identity_scale(prob, t))
 
 

@@ -7,10 +7,10 @@ The discrete energy of a nodal function v (zero on the boundary) is
          - sum_nodes w_i f_i v_i,
 
 where ``G_c`` is the gradient of the multilinear interpolant at the
-center of cell c (the rows of :func:`~pschrod.grid.cell_gradient_matrix`)
-and ``w_i`` are the trapezoid node weights.  Each summand is convex and
-the zero-order term is strictly convex for p >= 2 and V >= 1, so J has a
-unique minimizer; the
+center of cell c, defined once by the stencil table
+:func:`~pschrod.grid.cell_stencil`, and ``w_i`` are the trapezoid node
+weights.  Each summand is convex and the zero-order term is strictly
+convex for p >= 2 and V >= 1, so J has a unique minimizer; the
 Euler-Lagrange residual returned by :func:`residual` is the exact gradient
 of J with respect to interior nodal values divided by the node weight.
 
@@ -38,7 +38,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import (GridFunction, GridSpec, _require_zero_boundary, abs_power,
-                   cell_gradient_matrix, cell_gradient_squared, energy_sums)
+                   cell_gradient_squared, cell_gradient_transpose, cell_stencil,
+                   energy_sums)
 
 __all__ = [
     "Problem",
@@ -169,12 +170,6 @@ class SolveResult:
 # energy, gradient and Hessian on the cell-gradient operator G
 
 
-@lru_cache(maxsize=32)
-def _gradient_transpose(spec: GridSpec) -> sp.csr_matrix:
-    """G^T in CSR form: a row-wise matvec, twice as fast as ``G.T`` (CSC), same bits."""
-    return cell_gradient_matrix(spec).T.tocsr()
-
-
 def _energy_arrays(v: np.ndarray, prob: Problem) -> float:
     """J(v) = ``(h^n/p) S + Z/p - <f, v>`` with ``(S, Z)`` from :func:`energy_sums`."""
     spec = prob.spec
@@ -190,7 +185,7 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
     p = prob.p
     comps, s = cell_gradient_squared(v, spec)
     weight = abs_power(s, (p - 2.0) / 2.0, out=s)
-    g = spec.h**spec.n * (_gradient_transpose(spec) @ (weight * comps).ravel())
+    g = spec.h**spec.n * (cell_gradient_transpose(spec) @ (weight * comps).ravel())
     w = spec.weights()
     g += w * prob.V.values * abs_power(v, p - 2.0) * v
     g -= w * prob.f.values
@@ -203,11 +198,12 @@ class _HessianPattern:
 
     ``M[(a, b), (i, j)] = h^n G_a[i] G_b[j]`` is the cell block of
     ``h^n G^T K G`` per unit entry ``K[a, b]`` of the cell weight, ``G_a[i]``
-    the coefficient of cell corner ``i`` in gradient component ``a``; it is
-    the same for every cell.  ``S`` is 0/1 and sums the entries of all cell
-    blocks, laid out cell by cell, into the CSR data of H (``indices``,
-    ``indptr``); entries on a boundary node are dropped.  ``diagonal`` holds
-    the data position of each diagonal entry.  Shared: do not mutate.
+    the coefficient of cell corner ``i`` in gradient component ``a`` (the
+    table :func:`~pschrod.grid.cell_stencil`, the same for every cell).
+    ``S`` is 0/1 and sums the entries of all cell blocks, laid out cell by
+    cell, into the CSR data of H (``indices``, ``indptr``); entries on a
+    boundary node are dropped.  ``diagonal`` holds the data position of
+    each diagonal entry.  Shared: do not mutate.
     """
 
     M: np.ndarray
@@ -215,28 +211,6 @@ class _HessianPattern:
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray
-
-
-def _cell_stencil(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowest corner node of every cell, corner offsets and ``G_a[i]``, shape (n, 2^n).
-
-    Raises if some row of :func:`~pschrod.grid.cell_gradient_matrix` is not
-    the stencil of the first cell translated to its own cell.
-    """
-    n, m = spec.n, spec.m
-    corners = 2**n
-    base = np.arange(spec.num_nodes).reshape((m,) * n)[(slice(0, m - 1),) * n].ravel()
-    G = cell_gradient_matrix(spec)
-    if not np.array_equal(np.diff(G.indptr), np.full(G.shape[0], corners)):
-        raise ValueError("cell gradient rows do not all have one entry per cell corner")
-    cols = G.indices.reshape(n, -1, corners)
-    order = np.argsort(cols, axis=-1)
-    offsets = np.take_along_axis(cols, order, axis=-1) - base[:, None]
-    coeffs = np.take_along_axis(G.data.reshape(n, -1, corners), order, axis=-1)
-    if not (np.array_equal(offsets, np.broadcast_to(offsets[:1, :1], offsets.shape))
-            and np.array_equal(coeffs, np.broadcast_to(coeffs[:, :1], coeffs.shape))):
-        raise ValueError("cells do not share one gradient stencil")
-    return base, offsets[0, 0], coeffs[:, 0]
 
 
 @lru_cache(maxsize=32)
@@ -247,7 +221,7 @@ def _build_hessian_pattern(spec: GridSpec) -> _HessianPattern:
     of all kept cell-block entries.  Temporaries are released as soon as
     they are spent, so the peak stays at a few index arrays of that length.
     """
-    base, offsets, coeffs = _cell_stencil(spec)
+    base, offsets, coeffs = cell_stencil(spec)
     corners = offsets.size
     M = spec.h**spec.n * (coeffs[:, None, :, None] * coeffs[None, :, None, :])
     M = M.reshape(spec.n**2, corners**2)

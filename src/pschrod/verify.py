@@ -32,7 +32,7 @@ from .compactness import (
     kr_report,
 )
 from .grid import GridFunction, GridSpec, integrate, write_json, zero_boundary
-from .pipeline import estimate_identity_budget, identity_defect, mollify_datum
+from .pipeline import identity_budget, identity_defect, mollify_datum
 from .potentials import bad_set_measure, bad_set_measure_mc, confinement_report, sample_potential, sparse_wells
 from .presets import (
     identity_case,
@@ -214,16 +214,12 @@ def _suite_compactness(rng: np.random.Generator, threads: int) -> dict:
 def _suite_localized_identity(rng: np.random.Generator, threads: int) -> dict:
     p, t, alpha = 3.0, 0.3, 1.2
     make_case = identity_case(p)
-    defects = []
-    supp_all = True
-    for m in (65, 129, 257):
-        prob, phi = make_case(m)
-        res = solve(prob)
-        defect, supp_ok = identity_defect(res, prob, phi, alpha, t)
-        defects.append(defect)
-        supp_all = supp_all and supp_ok
+    cases = [make_case(m) for m in (65, 129, 257)]
+    checks = [identity_defect(solve(prob), prob, phi, alpha, t) for prob, phi in cases]
+    defects = [defect for defect, _ in checks]
+    supp_all = all(supp_ok for _, supp_ok in checks)
     ratios = [a / b for a, b in zip(defects, defects[1:])]
-    budget = estimate_identity_budget(make_case, alpha, t, m_coarse=65)
+    budget = identity_budget(defects[0], cases[0][0], t)
     passed = supp_all and all(r >= 2.0 for r in ratios)
     return {
         "passed": passed,

@@ -402,9 +402,10 @@ def test_verify_seed_changes_bytes_not_verdicts(tmp_path):
         (["solve"], {**BASE_SOLVE, "grid": {"n": True, "L": 8.0, "m": 129}}),
         (["solve"], {**BASE_SOLVE, "potential": {"kind": "polynomial_trap", "gamma": True}}),
         (["solve", "--threads", "2"], BASE_SOLVE),
+        (["pipeline", "--tol", "0.1"], PIPE),
     ],
     ids=["trap-value", "zero-width", "bumps-dir", "solutions-count", "solutions-grid",
-         "kr-q", "n-bool", "gamma-bool", "solve-threads"],
+         "kr-q", "n-bool", "gamma-bool", "solve-threads", "pipeline-tol"],
 )
 def test_key_or_flag_the_command_does_not_read_is_rejected(tmp_path, monkeypatch, capsys,
                                                            command, config):
@@ -440,21 +441,41 @@ def test_verify_manifest_records_config_seed(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config_text, flags",
+    "config_text",
     [
-        (json.dumps(PIPE).replace('"R_grid"', '"tol": 1e400, "R_grid"'), []),
-        (json.dumps(PIPE).replace('"L": 8.0', '"L": NaN'), []),
-        (json.dumps(PIPE), ["--tol", "nan"]),
-        (json.dumps(PIPE), ["--tol", "inf"]),
+        json.dumps(PIPE).replace('"R_grid"', '"tol": 1e400, "R_grid"'),
+        json.dumps(PIPE).replace('"L": 8.0', '"L": NaN'),
     ],
-    ids=["tol-1e400", "L-nan", "flag-tol-nan", "flag-tol-inf"],
+    ids=["tol-1e400", "L-nan"],
 )
-def test_non_finite_config_number_is_config_error(tmp_path, capsys, config_text, flags):
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, config_text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config_text)
-    argv = ["pipeline", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
-    assert main(argv) == 2
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+WIDTH0 = {"width": 0, "height": 1}
+STEEP_TRAP = {"kind": "polynomial_trap", "gamma": 1000}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("solve", {**BASE_SOLVE, "datum": {"kind": "gaussian", **WIDTH0}}),
+        ("solve", {**BASE_SOLVE, "potential": STEEP_TRAP}),
+        ("pipeline", {**PIPE, "datum": {"kind": "gaussian", **WIDTH0}}),
+        ("pipeline", {**PIPE, "datum": {"kind": "sum", "terms": [WIDTH0]}}),
+        ("pipeline", {**PIPE, "potential": STEEP_TRAP}),
+        ("confinement", {"grid": PIPE["grid"], "potential": STEEP_TRAP, "R_grid": [2]}),
+    ],
+    ids=["solve-width0", "solve-gamma1000", "pipeline-width0", "pipeline-sum-width0",
+         "pipeline-gamma1000", "confinement-gamma1000"],
+)
+def test_non_finite_sample_is_config_error(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: non-finite value" in capsys.readouterr().err
 
 
 def test_pipeline_without_converged_level_exits_1_with_diagnostics(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pschrod.grid import (
     GridFunction,
@@ -10,6 +12,8 @@ from pschrod.grid import (
     annulus_integrate,
     cell_gradient_matrix,
     cell_gradient_squared,
+    cell_gradient_transpose,
+    cell_stencil,
     gradient,
     integrate,
     load_grid_function,
@@ -169,12 +173,39 @@ def test_cell_gradient_transpose_is_adjoint(n, rng):
     assert abs(lhs - rhs) <= 1e-14 * scale
 
 
+def _kronecker_cell_gradient(spec):
+    """G stacked from Kronecker products of 1-D difference and average matrices."""
+    m = spec.m
+    diff = sp.diags([-1.0 / spec.h, 1.0 / spec.h], [0, 1], shape=(m - 1, m))
+    avg = sp.diags([0.5, 0.5], [0, 1], shape=(m - 1, m))
+    comps = [
+        reduce(lambda a, b: sp.kron(a, b, format="csr"),
+               [diff if other == axis else avg for other in range(spec.n)])
+        for axis in range(spec.n)
+    ]
+    return sp.vstack(comps, format="csr")
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (1, 65), (2, 3), (2, 17), (3, 3), (3, 9)])
+@pytest.mark.parametrize("L", [1.0, 1.2345])
+def test_cell_gradient_matrix_matches_kronecker_construction(n, m, L):
+    spec = GridSpec(n, L, m)
+    G, ref = cell_gradient_matrix(spec), _kronecker_cell_gradient(spec)
+    assert G.shape == ref.shape
+    for got, want in ((G.indptr, ref.indptr), (G.indices, ref.indices), (G.data, ref.data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_cell_gradient_matrix_is_cached_and_read_only():
     spec = GridSpec(2, 1.0, 5)
     G = cell_gradient_matrix(spec)
     assert cell_gradient_matrix(GridSpec(2, 1.0, 5)) is G
-    with pytest.raises(ValueError):
-        G.data[0] = 1.0
+    assert cell_stencil(GridSpec(2, 1.0, 5)) is cell_stencil(spec)
+    GT = cell_gradient_transpose(spec)
+    assert (GT != G.T).nnz == 0
+    for arr in (G.data, GT.data, *cell_stencil(spec)):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_integrate_constant_box_volume():

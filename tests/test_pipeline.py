@@ -11,7 +11,7 @@ from pschrod.pipeline import (
     check_superlevel_bound,
     check_tail_bound,
     distributional_residual,
-    estimate_identity_budget,
+    identity_budget,
     identity_defect,
     mollify_datum,
     regularize_datum,
@@ -231,7 +231,9 @@ def test_identity_defect_halves_with_h():
 def test_identity_budget_freezes_and_passes():
     make_case = identity_case(3.0)
     alpha, t = 1.2, 0.3
-    c_budget = estimate_identity_budget(make_case, alpha, t, m_coarse=65)
+    coarse, phi = make_case(65)
+    defect, _ = identity_defect(solve(coarse), coarse, phi, alpha, t)
+    c_budget = identity_budget(defect, coarse, t)
     for m in (129, 257):
         prob, phi = make_case(m)
         rep = check_localized_identity(solve(prob), prob, phi, alpha, t, c_budget)

@@ -28,7 +28,6 @@ from pschrod.solver import (
     _energy_arrays,
     _gradient_arrays,
     _build_hessian_pattern,
-    _cell_stencil,
     _hessian_interior,
     _hessian_pattern,
     _line_band,
@@ -400,15 +399,6 @@ def test_hessian_pattern_keeps_entries_that_cancel():
     oracle = _spgemm_hessian(v, prob, 0.0)
     assert (H.nnz, oracle.nnz) == (1849, 1009)
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
-
-
-def test_cell_stencil_rejects_a_cell_off_the_common_stencil(monkeypatch):
-    spec = GridSpec(2, 1.0, 5)
-    G = cell_gradient_matrix(spec).copy()
-    G.data[G.indptr[3]] *= 2.0
-    monkeypatch.setattr("pschrod.solver.cell_gradient_matrix", lambda _: G)
-    with pytest.raises(ValueError, match="stencil"):
-        _cell_stencil(spec)
 
 
 def test_hessian_pattern_built_once_for_concurrent_callers():
