@@ -378,8 +378,7 @@ def cmd_pipeline(args) -> int:
     f = _build_datum(c["datum"], spec)
     scheme_cfg = _call(SchemeConfig, **_block(c["scheme"], "scheme", SCHEME,
                                               ("k_list", "t_grid")))
-    result = _call(run_scheme, f, pot, c["p"], scheme_cfg, threads=args.threads,
-                   **_present(c, ["regularizer"]))
+    result = _call(run_scheme, f, pot, c["p"], scheme_cfg, **_present(c, ["regularizer"]))
     out = _outdir(args, c)
     save_scheme_result(result, out)
     _write_manifest(out, cfg, started)
@@ -477,8 +476,7 @@ def cmd_verify(args) -> int:
     if seed is None:
         raise ConfigError("verify requires a seed (--seed or config key 'seed')")
     out = _outdir(args, c)
-    summary = _call(run_verify, seed, out, suites=args.suite or c.get("suites"),
-                    threads=args.threads)
+    summary = _call(run_verify, seed, out, suites=args.suite or c.get("suites"))
     _write_manifest(out, cfg, started, seed)
     print(f"verify: {'PASS' if summary['passed'] else 'FAIL'} (seed {seed})")
     return EXIT_OK if summary["passed"] else EXIT_FAIL
@@ -488,8 +486,9 @@ def cmd_verify(args) -> int:
 
 FLAGS = {
     "--seed": {"type": int, "help": "seed, an integer in [0, 2^64)"},
-    "--threads": {"type": int, "default": 1,
-                  "help": "worker threads for independent solves"},
+    # unused since the levels are solved in order; kept while perfbench/run.py
+    # passes it, as run_verify's threads keyword is while perfbench/tracer.py does
+    "--threads": {"type": int, "help": "accepted and ignored"},
     "--suite": {"action": "append", "choices": list(SUITE_NAMES),
                 "help": "run only this suite (repeatable)"},
 }

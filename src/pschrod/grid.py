@@ -15,13 +15,13 @@ norm share one pair of sums over it, :func:`energy_sums`.
 Positive powers of grid data go through :func:`abs_power`, which keeps
 libm off its slow underflow path on decaying solutions.
 
-All types are immutable after construction and safe to share across
-threads.
+All types are immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -439,10 +439,18 @@ def write_json(path: str | Path, obj) -> None:
 def load_grid_function(path_base: str | Path) -> GridFunction:
     base = Path(path_base)
     header = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(header, dict):
+        raise ValueError("grid file header must be a JSON object")
     for key, expected in (("order", _HEADER_ORDER), ("dtype", _HEADER_DTYPE)):
         if header.get(key) != expected:
             raise ValueError(f"unsupported grid file: {key}={header.get(key)!r}")
-    spec = GridSpec(n=int(header["n"]), L=float(header["L"]), m=int(header["m"]))
+    n, L, m = (header.get(key) for key in ("n", "L", "m"))
+    # exact types: JSON gives int or float, and a bool is neither
+    if not (all(type(v) is int or type(v) is float and v.is_integer() for v in (n, m))
+            and type(L) in (int, float) and abs(L) <= sys.float_info.max):
+        raise ValueError(f"grid file header needs integral n and m and a finite L, "
+                         f"got n={n!r}, L={L!r}, m={m!r}")
+    spec = GridSpec(n=int(n), L=float(L), m=int(m))
     raw = base.with_suffix(".bin").read_bytes()
     vals = np.frombuffer(raw, dtype="<f8")
     if vals.size != spec.num_nodes:

@@ -2,8 +2,9 @@
 
 Given an integrable datum f, the scheme solves the problem for the
 regularized data ``f_k = T_k(f) . indicator(|x| < k)`` over an increasing
-list of levels k and verifies, for each solution and each configured
-truncation level t, radius R and pair k < l:
+list of levels k, in order and each from the last converged level, and
+verifies, for each solution and each configured truncation level t,
+radius R and pair k < l:
 
 * energy estimate      ``||T_t(u_k)||_X^p <= t ||f_k||_1``
 * tail bound           ``tail(T_t(u_k), R) <= |E_R| + t ||f_k||_1 / (kappa R^gamma)``
@@ -25,7 +26,6 @@ caveat "finite-sequence surrogate".
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -315,6 +315,9 @@ class SchemeConfig:
             raise ValueError("k_list must be nonempty")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("k_list must be strictly increasing")
+        labels = [f"{k:g}" for k in ks]  # each level's name in the artifacts
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"levels in k_list must have distinct labels, got {labels}")
         object.__setattr__(self, "k_list", ks)
         for name in ("t_grid", "alpha_grid", "R_grid", "eps_grid"):
             vals = tuple(float(v) for v in getattr(self, name))
@@ -336,6 +339,7 @@ class SchemeResult:
     measure_diag: dict[float, np.ndarray]
     convergence: dict[str, Any]
     failed_k: tuple[float, ...]
+    started_from: dict[float, float | None]
     caveat: str = FINITE_SEQUENCE_CAVEAT
 
     @property
@@ -344,16 +348,6 @@ class SchemeResult:
 
     def failed_reports(self) -> list[EstimateReport]:
         return [r for r in self.reports if not r.passed]
-
-
-def _solve_one(args):
-    f, V_g, p, k, cfg, regularizer = args
-    f_k = regularizer(f, k)
-    prob = Problem(
-        spec=f.spec, p=p, V=V_g, f=f_k,
-        tol_residual=cfg.tol_residual, max_iters=cfg.max_iters,
-    )
-    return k, f_k, prob, solve(prob)
 
 
 def _pair_matrix(
@@ -377,33 +371,39 @@ def run_scheme(
     p: float,
     cfg: SchemeConfig,
     regularizer: Callable[[GridFunction, float], GridFunction] = regularize_datum,
-    threads: int = 1,
 ) -> SchemeResult:
-    """Solve the whole k-sequence and verify every configured estimate.
+    """Solve the k-sequence in order and verify every configured estimate.
 
-    Solves run concurrently when ``threads > 1``; report assembly is a
-    deterministic sequential reduction in k order, so results do not depend
-    on the schedule.  Non-convergent levels are flagged and their reports
+    Each level starts from the solution of the latest converged earlier
+    level, which the stability estimate puts close by; the first level, and
+    a level with no converged predecessor, starts where :func:`solve` does
+    by default.  A level whose regularized datum equals that level's datum
+    bit for bit is the same problem, and since the minimizer is unique it
+    takes that level's result without solving again.  ``started_from``
+    names, per level, the level it started from or reused (None: the
+    default start).  Non-convergent levels are flagged and their reports
     omitted; when no level converges the result has no reports and no
     reference level (``reference_k`` is None).
     """
     V_g = sample_potential(V, f.spec)
-    jobs = [(f, V_g, p, k, cfg, regularizer) for k in cfg.k_list]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_solve_one, jobs))
-    else:
-        outcomes = [_solve_one(j) for j in jobs]
-
     solutions: dict[float, SolveResult] = {}
     data: dict[float, GridFunction] = {}
     probs: dict[float, Problem] = {}
+    started_from: dict[float, float | None] = {}
     failed = []
-    for k, f_k, prob, res in outcomes:
-        solutions[k] = res
-        data[k] = f_k
-        probs[k] = prob
-        if not res.converged:
+    last = None  # the latest converged level
+    for k in cfg.k_list:
+        data[k] = regularizer(f, k)
+        started_from[k] = last
+        if last is not None and data[k].values.tobytes() == data[last].values.tobytes():
+            probs[k], solutions[k] = probs[last], solutions[last]
+        else:
+            probs[k] = Problem(f.spec, p, V_g, data[k], tol_residual=cfg.tol_residual,
+                               max_iters=cfg.max_iters)
+            solutions[k] = solve(probs[k], u0=None if last is None else solutions[last].u)
+        if solutions[k].converged:
+            last = k
+        else:
             failed.append(k)
     good = [k for k in cfg.k_list if k not in failed]
 
@@ -475,6 +475,7 @@ def run_scheme(
         measure_diag=measure_diag,
         convergence=convergence,
         failed_k=tuple(failed),
+        started_from=started_from,
     )
 
 
@@ -505,5 +506,7 @@ def save_scheme_result(res: SchemeResult, outdir: str | Path) -> None:
         "solves": {
             f"{k:g}": sol.diagnostics() for k, sol in res.solutions.items()
         },
+        "started_from": {f"{k:g}": None if start is None else f"{start:g}"
+                         for k, start in res.started_from.items()},
     }
     write_json(out / "diagnostics.json", diagnostics)

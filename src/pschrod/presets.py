@@ -132,15 +132,11 @@ def standard_problem_factory(p: float, m: int = 257):
     return prob, f
 
 
-def small_scheme(
-    p: float, threads: int = 1, regularizer=regularize_datum
-) -> SchemeResult:
+def small_scheme(p: float, regularizer=regularize_datum) -> SchemeResult:
     """Reduced standard experiment: m = 129, levels k in {1, 2, 4, 8}."""
     cfg = SchemeConfig(k_list=(1.0, 2.0, 4.0, 8.0), t_grid=(0.5, 1.0, 2.0))
     f = two_bump_datum(standard_grid(m=129))
-    return run_scheme(
-        f, standard_potential(), p, cfg, regularizer=regularizer, threads=threads
-    )
+    return run_scheme(f, standard_potential(), p, cfg, regularizer=regularizer)
 
 
 def identity_case(p: float):

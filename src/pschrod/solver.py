@@ -28,7 +28,6 @@ unregularized operator.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -214,8 +213,8 @@ class _HessianPattern:
 
 
 @lru_cache(maxsize=32)
-def _build_hessian_pattern(spec: GridSpec) -> _HessianPattern:
-    """Assemble the :class:`_HessianPattern` of ``spec``; use :func:`_hessian_pattern`.
+def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
+    """The :class:`_HessianPattern` of ``spec``, built once per grid and cached.
 
     The CSR structure comes from one stable argsort of the (row, col) keys
     of all kept cell-block entries.  Temporaries are released as soon as
@@ -258,15 +257,6 @@ def _build_hessian_pattern(spec: GridSpec) -> _HessianPattern:
     for arr in (M, S.data, S.indices, S.indptr, pattern.indices, indptr, pattern.diagonal):
         arr.flags.writeable = False
     return pattern
-
-
-_PATTERN_LOCK = threading.Lock()
-
-
-def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
-    """The cached :class:`_HessianPattern` of ``spec``, built once even under threads."""
-    with _PATTERN_LOCK:
-        return _build_hessian_pattern(spec)
 
 
 def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix:
@@ -418,7 +408,9 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     factor of ten (at most a handful), so the returned iterate sits
     essentially on the minimizer.  When the iteration cap is hit first, the
     best iterate is returned with ``converged=False``; it is never a
-    silent success.
+    silent success.  The start is ``u0`` (zeroed on the boundary; the
+    scheme passes the previous level's solution), else 0 for p = 2 and the
+    p = 2 companion solution for p > 2.
     """
     spec = prob.spec
     boundary = spec.boundary_mask()

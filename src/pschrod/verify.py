@@ -45,7 +45,7 @@ from .solver import monotonicity_margin, solve
 
 __all__ = ["SUITE_NAMES", "run_verify"]
 
-def _suite_monotonicity(rng: np.random.Generator, threads: int) -> dict:
+def _suite_monotonicity(rng: np.random.Generator) -> dict:
     details = {}
     worst = 0.0
     for p in (2.0, 2.5, 3.0, 4.0):
@@ -66,7 +66,7 @@ def _suite_monotonicity(rng: np.random.Generator, threads: int) -> dict:
     return {"passed": worst >= -ALGEBRAIC_TOL, "worst_rel_margin": worst, "per_p": details}
 
 
-def _suite_lambda_metric(rng: np.random.Generator, threads: int) -> dict:
+def _suite_lambda_metric(rng: np.random.Generator) -> dict:
     spec = GridSpec(n=1, L=4.0, m=129)
     n_pairs = 10_000
     p = 2.0
@@ -91,7 +91,7 @@ def _suite_lambda_metric(rng: np.random.Generator, threads: int) -> dict:
     return {"passed": passed, "pairs": n_pairs, **worst, "self_distance": identity_zero}
 
 
-def _suite_nesting_embedding(rng: np.random.Generator, threads: int) -> dict:
+def _suite_nesting_embedding(rng: np.random.Generator) -> dict:
     spec = GridSpec(n=1, L=4.0, m=257)
     worst_nesting = 0.0
     for p, q in ((1.0, 2.0), (2.0, 3.0), (1.5, 4.0)):
@@ -125,11 +125,11 @@ def _suite_nesting_embedding(rng: np.random.Generator, threads: int) -> dict:
     }
 
 
-def _suite_pipeline(rng: np.random.Generator, threads: int) -> dict:
+def _suite_pipeline(rng: np.random.Generator) -> dict:
     details = {}
     passed = True
     for p in (2.0, 3.0):
-        res = small_scheme(p, threads)
+        res = small_scheme(p)
         failed = res.failed_reports()
         dists = [row["lambda_dist_to_ref"] for row in res.convergence["rows"][:-1]]
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -144,7 +144,7 @@ def _suite_pipeline(rng: np.random.Generator, threads: int) -> dict:
     return {"passed": passed, **details}
 
 
-def _suite_sparse_wells(rng: np.random.Generator, threads: int) -> dict:
+def _suite_sparse_wells(rng: np.random.Generator) -> dict:
     spec = GridSpec(n=1, L=40.0, m=327681)
     V = sparse_wells(gamma=2.0)
     Vg = sample_potential(V, spec)
@@ -175,13 +175,13 @@ def _suite_sparse_wells(rng: np.random.Generator, threads: int) -> dict:
     }
 
 
-def _suite_compactness(rng: np.random.Generator, threads: int) -> dict:
+def _suite_compactness(rng: np.random.Generator) -> dict:
     spec = GridSpec(n=1, L=8.0, m=257)
     eps = 0.3
     translates = translating_bumps(spec, count=7)
     rep_translates = kr_report(translates, 2.0, K_grid=[0.5, 1.0], eps=eps)
 
-    scheme = small_scheme(2.0, threads)
+    scheme = small_scheme(2.0)
     t = 1.0
     fam = FunctionFamily(
         tuple(truncate(scheme.solutions[k].u, t) for k in scheme.k_list),
@@ -211,7 +211,7 @@ def _suite_compactness(rng: np.random.Generator, threads: int) -> dict:
     }
 
 
-def _suite_localized_identity(rng: np.random.Generator, threads: int) -> dict:
+def _suite_localized_identity(rng: np.random.Generator) -> dict:
     p, t, alpha = 3.0, 0.3, 1.2
     make_case = identity_case(p)
     cases = [make_case(m) for m in (65, 129, 257)]
@@ -230,9 +230,9 @@ def _suite_localized_identity(rng: np.random.Generator, threads: int) -> dict:
     }
 
 
-def _suite_uniqueness(rng: np.random.Generator, threads: int) -> dict:
-    res_canonical = small_scheme(2.0, threads)
-    res_mollified = small_scheme(2.0, threads, regularizer=mollify_datum)
+def _suite_uniqueness(rng: np.random.Generator) -> dict:
+    res_canonical = small_scheme(2.0)
+    res_mollified = small_scheme(2.0, regularizer=mollify_datum)
     k_ref = res_canonical.k_list[-1]
     d_ref = lambda_dist(
         res_canonical.solutions[k_ref].u, res_mollified.solutions[k_ref].u, 2.0
@@ -279,7 +279,7 @@ def run_verify(
     seed: int,
     outdir: str | Path,
     suites: list[str] | None = None,
-    threads: int = 1,
+    threads: int = 1,  # unused; see the --threads entry in cli.FLAGS
     echo=print,
 ) -> dict:
     """Run the selected suites, write one JSON report each, return a summary.
@@ -298,7 +298,7 @@ def run_verify(
     for name in chosen:
         idx = SUITE_NAMES.index(name)
         rng = np.random.default_rng([seed, idx])
-        result = {"suite": name, "seed": seed, **_SUITES[name](rng, threads)}
+        result = {"suite": name, "seed": seed, **_SUITES[name](rng)}
         write_json(out / f"verify_{name}.json", result)
         summary["suites"][name] = result["passed"]
         all_passed = all_passed and result["passed"]

@@ -1,9 +1,11 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pschrod.cli import main
+from pschrod.cli import build_parser, main
 from pschrod.grid import GridSpec, load_grid_function, sample, save_grid_function
 
 
@@ -323,6 +325,56 @@ def test_compactness_solutions_dir_roundtrip(tmp_path):
     report = json.loads((out / "family_report.json").read_text())
     assert report["size"] == 4
     assert all(v == "decaying" for v in report["verdicts"].values())
+
+
+HEADER = {"n": 1, "L": 8.0, "m": 129, "order": "row-major", "dtype": "f64-little-endian"}
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {k: v for k, v in HEADER.items() if k != "n"},
+        {k: v for k, v in HEADER.items() if k != "L"},
+        {k: v for k, v in HEADER.items() if k != "m"},
+        {**HEADER, "n": None},
+        {**HEADER, "n": 1.5},
+        {**HEADER, "m": 129.5},
+        {**HEADER, "n": True},
+        {**HEADER, "m": True},
+        {**HEADER, "L": float("inf")},
+    ],
+    ids=["no-n", "no-L", "no-m", "n-null", "n-fraction", "m-fraction", "n-bool", "m-bool",
+         "L-inf"],
+)
+def test_compactness_solutions_dir_bad_header_is_config_error(tmp_path, capsys, header):
+    sols = tmp_path / "sols"
+    sols.mkdir()
+    save_grid_function(sample(GridSpec(1, 8.0, 129), lambda x: np.exp(-(x**2))), sols / "u")
+    (sols / "u.json").write_text(json.dumps(header))
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"p": 2.0, "family": {"kind": "solutions_dir", "dir": str(sols)}})
+    assert main(["compactness", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: grid file header" in capsys.readouterr().err
+
+
+def test_pipeline_levels_with_one_label_are_config_error(tmp_path, capsys):
+    # 1 and 1.0000001 both print as "1", the label of u_k1 and of the solves key
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**PIPE, "scheme": {**PIPE["scheme"], "k_list": [1, 1.0000001, 4]}})
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "distinct labels" in capsys.readouterr().err
+
+
+def test_cli_accepts_the_benchmark_argv(tmp_path):
+    # the harness passes --threads; the flag stays until it no longer does
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    assert len(harness.WORKLOADS) == 3
+    for workload in harness.WORKLOADS:
+        argv = harness.cli_argv(workload, 7, tmp_path / "out", tmp_path / "config.json")
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_pipeline_artifacts_bit_identical_on_rerun(tmp_path):

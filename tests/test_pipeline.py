@@ -337,18 +337,52 @@ def test_run_scheme_distance_to_reference_decreases(small_scheme_p3):
     assert res.convergence["caveat"] == "finite-sequence surrogate"
 
 
-def test_run_scheme_threaded_matches_serial(small_scheme_p3):
+def test_run_scheme_continues_from_the_last_converged_level(small_scheme_p3):
     res = small_scheme_p3
-    res2 = small_scheme(3.0, threads=3)
+    spec = standard_grid(m=129)
+    f = two_bump_datum(spec)
+    V = sample_potential(standard_potential(), spec)
+    assert res.started_from == {1.0: None, 2.0: 1.0, 4.0: 2.0, 8.0: 4.0}
     for k in res.k_list:
-        assert np.array_equal(res.solutions[k].u.values, res2.solutions[k].u.values)
+        start = res.started_from[k]
+        u0 = None if start is None else res.solutions[start].u
+        expected = solve(Problem(spec, 3.0, V, regularize_datum(f, k)), u0=u0)
+        assert np.array_equal(res.solutions[k].u.values, expected.u.values)
+
+
+def test_run_scheme_continuation_saves_newton_steps_in_3d():
+    spec = GridSpec(3, 6.0, 9)
+
+    def datum(x, y, z):
+        return (12.0 * np.exp(-((x + 2.0) ** 2 + y**2 + z**2) / 0.64)
+                + 4.0 * np.exp(-((x - 2.0) ** 2 + (y - 1.0) ** 2 + (z + 1.0) ** 2)))
+
+    f = sample(spec, datum)
+    cfg = SchemeConfig(k_list=(1.0, 2.0, 4.0, 8.0), t_grid=(1.0,), R_grid=(2.0,))
+    res = run_scheme(f, standard_potential(), 3.0, cfg)
+    assert not res.failed_k
+    assert sum(res.solutions[k].iterations for k in cfg.k_list) == 42
+    V = sample_potential(standard_potential(), spec)
+    cold = [solve(Problem(spec, 3.0, V, regularize_datum(f, k))) for k in cfg.k_list]
+    assert sum(r.iterations for r in cold) == 52
+
+
+def test_run_scheme_starts_past_a_non_convergent_level():
+    spec = GridSpec(1, 8.0, 129)
+    cfg = SchemeConfig(
+        k_list=(1.0, 4.0, 8.0), t_grid=(1.0,), R_grid=(4.0,), max_iters=12,
+        tol_residual=1e-10,
+    )
+    res = run_scheme(two_bump_datum(spec), standard_potential(), 4.0, cfg)
+    assert res.failed_k == (4.0,)
+    assert res.started_from == {1.0: None, 4.0: 1.0, 8.0: 1.0}
 
 
 def test_run_scheme_flags_non_convergent_levels():
     spec = GridSpec(1, 8.0, 129)
     f = two_bump_datum(spec)
     cfg = SchemeConfig(
-        k_list=(1.0, 4.0), t_grid=(1.0,), R_grid=(4.0,), max_iters=15,
+        k_list=(1.0, 4.0, 8.0), t_grid=(1.0,), R_grid=(4.0,), max_iters=12,
         tol_residual=1e-10,
     )
     res = run_scheme(f, standard_potential(), 4.0, cfg)
@@ -367,6 +401,15 @@ def test_duality_regime_levels_coincide():
     res = run_scheme(f, standard_potential(), 2.0, cfg)
     assert np.array_equal(res.solutions[16.0].u.values, res.solutions[32.0].u.values)
     assert res.pairwise_lambda[0, 1] == 0.0
+
+
+def test_run_scheme_reuses_a_level_with_the_same_datum():
+    spec = standard_grid(m=129)
+    cfg = SchemeConfig(k_list=(8.0, 16.0, 32.0), t_grid=(1.0,), R_grid=(4.0,))
+    res = run_scheme(two_bump_datum(spec), standard_potential(), 3.0, cfg)
+    assert res.started_from == {8.0: None, 16.0: 8.0, 32.0: 16.0}
+    assert res.solutions[32.0] is res.solutions[16.0]
+    assert res.solutions[16.0] is not res.solutions[8.0]
 
 
 def test_scheme_independence_canonical_vs_mollified(std_datum, std_config, std_scheme_p2):
@@ -396,6 +439,14 @@ def test_save_scheme_result_files(small_scheme_p3, tmp_path):
     reports = json.loads((tmp_path / "reports.json").read_text())
     assert len(reports) == len(res.reports)
     assert all(r["pass"] for r in reports)
+
+
+def test_save_scheme_result_records_level_starts(small_scheme_p3, tmp_path):
+    import json
+
+    save_scheme_result(small_scheme_p3, tmp_path)
+    diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diagnostics["started_from"] == {"1": None, "2": "1", "4": "2", "8": "4"}
 
 
 def test_save_scheme_result_distances_are_numbers(small_scheme_p3, tmp_path):

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -27,9 +24,7 @@ from pschrod.solver import (
     Problem,
     _energy_arrays,
     _gradient_arrays,
-    _build_hessian_pattern,
     _hessian_interior,
-    _hessian_pattern,
     _line_band,
     _line_preconditioner,
     _newton_solve,
@@ -399,33 +394,6 @@ def test_hessian_pattern_keeps_entries_that_cancel():
     oracle = _spgemm_hessian(v, prob, 0.0)
     assert (H.nnz, oracle.nnz) == (1849, 1009)
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
-
-
-def test_hessian_pattern_built_once_for_concurrent_callers():
-    spec = GridSpec(2, 1.2345, 23)  # a grid no other test builds
-    misses = _build_hessian_pattern.cache_info().misses
-    callers = 4
-    start = threading.Barrier(callers, timeout=30)
-    patterns = []
-
-    def ask():
-        start.wait()
-        patterns.append(_hessian_pattern(spec))
-
-    threads = [threading.Thread(target=ask) for _ in range(callers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(patterns) == callers
-    assert all(pattern is patterns[0] for pattern in patterns)
-    assert _build_hessian_pattern.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
