@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +42,7 @@ __all__ = [
     "cell_gradient_squared",
     "energy_sums",
     "abs_power",
+    "row_blocks",
     "integrate",
     "annulus_integrate",
     "zero_boundary",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 _MAX_NODES = 2**27  # keep m**n addressable and memory sane
+BLOCK_ELEMENTS = 2**16  # float64 values per row block: 512 KiB, a cache-sized working set
 
 
 @dataclass(frozen=True)
@@ -377,6 +379,22 @@ def abs_power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndar
         np.copyto(out, 0.0, where=out < 2.0 ** (-1076.0 / e))
     out **= e
     return out
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering ``range(rows)``, for work on rows of ``width`` values.
+
+    A block holds about :data:`BLOCK_ELEMENTS` values, so work that streams
+    over the blocks needs memory independent of ``rows``.  The rows per block
+    are a multiple of 16, at least 16: BLAS matrix-vector kernels take rows in
+    groups (of 4 in OpenBLAS 0.3 on x86-64), and a block that ends inside a group
+    sends its last rows down a tail path that rounds differently.  So when
+    ``rows`` is a multiple of 16, a product taken block by block has the bits
+    of one product over all rows.
+    """
+    step = max(16, BLOCK_ELEMENTS // width // 16 * 16)
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 def integrate(u: GridFunction) -> float:

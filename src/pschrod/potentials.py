@@ -14,12 +14,13 @@ was computed with.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, sample
+from .grid import GridFunction, GridSpec, row_blocks, sample
 
 __all__ = [
     "Potential",
@@ -196,18 +197,31 @@ def bad_set_measure_mc(V: Potential, spec: GridSpec, R: float, *,
     """Seeded Monte Carlo estimate of the bad-set measure inside the box.
 
     Cross-check for wells narrower than the grid spacing, where node-based
-    quadrature cannot resolve the geometry.
+    quadrature cannot resolve the geometry.  The samples are drawn, evaluated
+    and tested one :func:`pschrod.grid.row_blocks` block at a time, so memory
+    does not grow with ``samples``.  The generator fills rows in order and
+    only integer hit counts are added up, so the estimate has the same bits
+    for any block size.
     """
-    if samples <= 0:
-        raise ValueError("sample count must be positive")
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = None
+    if count is None or isinstance(samples, bool):
+        raise ValueError(f"sample count must be an integer, got {samples!r}")
+    if count < 1:
+        raise ValueError(f"sample count must be positive, got {count}")
+    samples = count
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-spec.L, spec.L, size=(samples, spec.n))
-    vals = np.asarray(V.evaluator(*[pts[:, a] for a in range(spec.n)]),
-                      dtype=np.float64)
-    r = np.sqrt(np.sum(pts**2, axis=1))
-    hit = _in_bad_set(V, r, vals, R)
+    hits = 0
+    for rows in row_blocks(samples, spec.n):
+        pts = rng.uniform(-spec.L, spec.L, size=(rows.stop - rows.start, spec.n))
+        vals = np.asarray(V.evaluator(*[pts[:, a] for a in range(spec.n)]),
+                          dtype=np.float64)
+        r = np.sqrt(np.sum(pts**2, axis=1))
+        hits += int(np.count_nonzero(_in_bad_set(V, r, vals, R)))
     volume = (2.0 * spec.L) ** spec.n
-    return float(volume * np.mean(hit))
+    return volume * (hits / samples)
 
 
 def _witness_from_wells(V: Potential, spec: GridSpec, R0: float):

@@ -17,6 +17,7 @@ from pschrod.grid import (
     gradient,
     integrate,
     load_grid_function,
+    row_blocks,
     sample,
     save_grid_function,
     zero_boundary,
@@ -344,3 +345,19 @@ def test_abs_power_bit_identical_to_power(rng, e):
 def test_abs_power_rejects_negative_exponent():
     with pytest.raises(ValueError, match="nonnegative"):
         abs_power(np.ones(3), -0.5)
+
+
+@pytest.mark.parametrize("width", [1, 3, 129, 5000])
+@pytest.mark.parametrize("rows", [0, 1, 17, 10_000])
+def test_row_blocks_tile_rows_in_steps_of_16(rows, width):
+    blocks = list(row_blocks(rows, width))
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+    sizes = [b.stop - b.start for b in blocks]
+    assert all(size % 16 == 0 and size * width <= max(2**16, 16 * width) for size in sizes[:-1])
+
+
+def test_row_blocks_product_has_one_shot_bits(rng):
+    a = rng.standard_normal((10_000, 129))
+    w = rng.random(129)
+    blocked = np.concatenate([a[b] @ w for b in row_blocks(len(a), a.shape[1])])
+    assert blocked.tobytes() == (a @ w).tobytes()

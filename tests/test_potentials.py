@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pschrod.grid import GridSpec
+from pschrod.grid import GridSpec, row_blocks
 from pschrod.potentials import (
     bad_set_measure,
     bad_set_measure_mc,
@@ -203,6 +205,56 @@ def test_monte_carlo_cross_check():
     assert mc == pytest.approx(quad, rel=0.1)
     assert bad_set_measure_mc(wells, spec, 3.0, samples=10_000, seed=5) == \
         bad_set_measure_mc(wells, spec, 3.0, samples=10_000, seed=5)
+
+
+def one_shot_mc(V, spec, R, *, seed, samples):
+    """Every sample at once: the estimate the block-streamed one must reproduce."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-spec.L, spec.L, size=(samples, spec.n))
+    vals = np.asarray(V.evaluator(*[pts[:, a] for a in range(spec.n)]), dtype=np.float64)
+    r = np.sqrt(np.sum(pts**2, axis=1))
+    hit = (r >= R) & (vals < V.kappa * r**V.gamma)
+    return float((2.0 * spec.L) ** spec.n * np.mean(hit))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pot", [
+    sparse_wells(WELLS_GAMMA),
+    # kappa = 2 makes the trap's bad set |x| > 1 nonempty
+    polynomial_trap(2.0).with_pair(2.0, 2.0),
+], ids=["sparse_wells", "polynomial_trap"])
+def test_monte_carlo_blocks_match_one_shot(pot, n):
+    spec = GridSpec(n, 5.0, 3)
+    block = next(row_blocks(2**40, n)).stop
+    for samples in (1, block - 1, block, 3 * block + 17):
+        mc = bad_set_measure_mc(pot, spec, 0.5, samples=samples, seed=samples)
+        assert mc == one_shot_mc(pot, spec, 0.5, samples=samples, seed=samples)
+    assert mc > 0.0
+
+
+def test_monte_carlo_memory_independent_of_samples():
+    spec = GridSpec(1, 40.0, 327681)
+    wells = sparse_wells(gamma=WELLS_GAMMA)
+    tracemalloc.start()
+    try:
+        bad_set_measure_mc(wells, spec, 3.0, samples=2_000_000, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("samples", [True, np.True_, 2.5, 1e3, "10", None, 0, -3])
+def test_monte_carlo_rejects_bad_sample_count(samples):
+    with pytest.raises(ValueError, match="sample count"):
+        bad_set_measure_mc(sparse_wells(WELLS_GAMMA), GridSpec(1, 8.0, 3), 3.0,
+                           samples=samples, seed=1)
+
+
+def test_monte_carlo_accepts_integer_types():
+    wells, spec = sparse_wells(WELLS_GAMMA), GridSpec(1, 8.0, 3)
+    assert bad_set_measure_mc(wells, spec, 1.0, samples=np.int64(5000), seed=2) == \
+        bad_set_measure_mc(wells, spec, 1.0, samples=5000, seed=2)
 
 
 def test_potential_pair_validation():
