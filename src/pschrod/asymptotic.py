@@ -19,7 +19,8 @@ from typing import Any
 
 import numpy as np
 
-from .grid import GridFunction, _check_same_spec, abs_power, energy_sums, integrate
+from .grid import (GridFunction, _check_same_spec, _require_radius, abs_power, energy_sums,
+                   integrate)
 
 __all__ = [
     "ExponentP",
@@ -209,8 +210,7 @@ def weak_lq_quasinorm(u: GridFunction, q) -> float:
 
 def tail_lambda(u: GridFunction, R: float, p) -> float:
     """Tail of the F-norm mass: ``integral_{|x| > R} min(|u|, 1)^p``."""
-    if R < 0:
-        raise ValueError(f"radius must be nonnegative, got {R!r}")
+    _require_radius(R)
     mask = u.spec.radii() > R
     return float(lambda_mass_rows(u.values[mask], u.spec.weights()[mask], p))
 

@@ -339,8 +339,7 @@ PROBLEM = {"grid": _object, "p": _number, "potential": _object, "datum": _object
 PROBLEM_REQUIRED = ("grid", "p", "potential", "datum")
 PIPELINE = {**PROBLEM, "scheme": _object,
             "regularizer": _choice({"canonical": regularize_datum, "mollified": mollify_datum})}
-SOLVER = {"tol_residual": _nullable(_number), "max_iters": _integer,
-          "eps_reg": _nullable(_number)}
+SOLVER = {"tol_residual": _nullable(_number), "max_iters": _integer}
 
 
 def cmd_solve(args) -> int:
@@ -365,8 +364,8 @@ def cmd_solve(args) -> int:
 
 
 SCHEME = {"k_list": _numbers, "t_grid": _numbers, "alpha_grid": _numbers,
-          "R_grid": _numbers, "eps_grid": _numbers, "tol": _number,
-          "tol_residual": _nullable(_number), "max_iters": _integer}
+          "R_grid": _numbers, "eps_grid": _numbers, "tol_residual": _nullable(_number),
+          "max_iters": _integer}
 
 
 def cmd_pipeline(args) -> int:

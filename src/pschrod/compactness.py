@@ -201,7 +201,6 @@ def maximal_translation_check(
     u: GridFunction,
     y,
     c_ref: float | None = None,
-    tol: float = 0.0,
 ) -> EstimateReport:
     """Empirical constant in ``|u(x+y) - u(x)| <= C |y| (Mg(x+y) + Mg(x))``.
 
@@ -228,7 +227,7 @@ def maximal_translation_check(
 
     rhs = c_emp if c_ref is None else float(c_ref)
     return EstimateReport(
-        "maximal_translation", c_emp, rhs, tol,
+        "maximal_translation", c_emp, rhs, 0.0,
         {
             "shift": list(np.asarray(offset) * u.spec.h),
             "samples": int(numer.size),

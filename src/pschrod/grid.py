@@ -102,75 +102,57 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.m,) * self.n
 
+    # cached per grid: equal specs hash alike and share one read-only array
+    @lru_cache(maxsize=64)
     def axis_coords(self) -> np.ndarray:
-        return _axis_coords(self)
+        i = np.arange(self.m, dtype=np.float64)
+        x = (i - (self.m - 1) / 2.0) * self.h
+        x.flags.writeable = False
+        return x
 
+    @lru_cache(maxsize=64)
     def node_coords(self) -> np.ndarray:
         """All node coordinates as an array of shape ``(m**n, n)``, row-major."""
-        return _node_coords(self)
+        axes = np.meshgrid(*([self.axis_coords()] * self.n), indexing="ij")
+        pts = np.stack([a.ravel() for a in axes], axis=-1)
+        pts.flags.writeable = False
+        return pts
 
+    @lru_cache(maxsize=64)
     def radii(self) -> np.ndarray:
         """Euclidean distance of every node from the origin, shape ``(m**n,)``."""
-        return _radii(self)
+        r = np.sqrt(np.sum(self.node_coords() ** 2, axis=1))
+        r.flags.writeable = False
+        return r
 
+    @lru_cache(maxsize=64)
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weight of every node, shape ``(m**n,)``."""
-        return _weights(self)
+        w1 = np.full(self.m, self.h)
+        w1[0] = w1[-1] = self.h / 2.0
+        w = w1
+        for _ in range(self.n - 1):
+            w = np.multiply.outer(w, w1)
+        w = np.ascontiguousarray(w.ravel())
+        w.flags.writeable = False
+        return w
 
+    @lru_cache(maxsize=64)
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask of nodes lying on the boundary of the box."""
-        return _boundary_mask(self)
+        edge1 = np.zeros(self.m, dtype=bool)
+        edge1[0] = edge1[-1] = True
+        mask = np.zeros(self.shape, dtype=bool)
+        for axis in range(self.n):
+            shape = [1] * self.n
+            shape[axis] = self.m
+            mask |= edge1.reshape(shape)
+        mask = np.ascontiguousarray(mask.ravel())
+        mask.flags.writeable = False
+        return mask
 
     def describe(self) -> str:
         return f"n={self.n},L={self.L:g},m={self.m}"
-
-
-@lru_cache(maxsize=64)
-def _axis_coords(spec: GridSpec) -> np.ndarray:
-    i = np.arange(spec.m, dtype=np.float64)
-    x = (i - (spec.m - 1) / 2.0) * spec.h
-    x.flags.writeable = False
-    return x
-
-
-@lru_cache(maxsize=64)
-def _node_coords(spec: GridSpec) -> np.ndarray:
-    axes = np.meshgrid(*([spec.axis_coords()] * spec.n), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=-1)
-    pts.flags.writeable = False
-    return pts
-
-@lru_cache(maxsize=64)
-def _radii(spec: GridSpec) -> np.ndarray:
-    r = np.sqrt(np.sum(spec.node_coords() ** 2, axis=1))
-    r.flags.writeable = False
-    return r
-
-
-@lru_cache(maxsize=64)
-def _weights(spec: GridSpec) -> np.ndarray:
-    w1 = np.full(spec.m, spec.h)
-    w1[0] = w1[-1] = spec.h / 2.0
-    w = w1
-    for _ in range(spec.n - 1):
-        w = np.multiply.outer(w, w1)
-    w = np.ascontiguousarray(w.ravel())
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=64)
-def _boundary_mask(spec: GridSpec) -> np.ndarray:
-    edge1 = np.zeros(spec.m, dtype=bool)
-    edge1[0] = edge1[-1] = True
-    mask = np.zeros(spec.shape, dtype=bool)
-    for axis in range(spec.n):
-        shape = [1] * spec.n
-        shape[axis] = spec.m
-        mask |= edge1.reshape(shape)
-    mask = np.ascontiguousarray(mask.ravel())
-    mask.flags.writeable = False
-    return mask
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
@@ -232,6 +214,11 @@ def _check_same_spec(u: GridFunction, v: GridFunction) -> None:
 def _require_zero_boundary(u: GridFunction, who: str) -> None:
     if np.any(u.values[u.spec.boundary_mask()] != 0.0):
         raise ValueError(f"{who} must vanish on the box boundary (support inside the box)")
+
+
+def _require_radius(R: float) -> None:
+    if not R >= 0:
+        raise ValueError(f"radius must be nonnegative, got {R!r}")
 
 
 def sample(spec: GridSpec, field: Callable) -> GridFunction:
@@ -408,8 +395,7 @@ def annulus_integrate(u: GridFunction, R: float) -> float:
     A node's full weight counts iff its coordinate satisfies ``|x| > R``;
     cells are never clipped.
     """
-    if R < 0:
-        raise ValueError(f"radius must be nonnegative, got {R!r}")
+    _require_radius(R)
     mask = u.spec.radii() > R
     return float(np.dot(u.spec.weights()[mask], u.values[mask]))
 

@@ -74,7 +74,7 @@ __all__ = [
 
 FINITE_SEQUENCE_CAVEAT = "finite-sequence surrogate"
 
-REPORT_TOL = 0.05  # default relative tolerance of every estimate report
+REPORT_TOL = 0.05  # relative tolerance of every estimate report
 
 
 def regularize_datum(f: GridFunction, k: float) -> GridFunction:
@@ -126,21 +126,18 @@ def _base_context(prob: Problem, **extra) -> dict[str, Any]:
 
 
 def check_energy_estimate(
-    res: SolveResult, prob: Problem, t: float, f_ref_l1: float, tol: float = REPORT_TOL
+    res: SolveResult, prob: Problem, t: float, f_ref_l1: float
 ) -> EstimateReport:
     """``||T_t(u)||_X^p <= t * f_ref_l1`` for the solved u."""
-    if not t > 0:
-        raise ValueError(f"truncation level must be positive, got {t!r}")
     lhs = x_norm_p(truncate(res.u, t), prob.V, prob.p)
     rhs = t * f_ref_l1
     return EstimateReport(
-        "energy_estimate", lhs, rhs, tol, _base_context(prob, t=t, f_l1=f_ref_l1)
+        "energy_estimate", lhs, rhs, REPORT_TOL, _base_context(prob, t=t, f_l1=f_ref_l1)
     )
 
 
 def check_tail_bound(
-    res: SolveResult, prob: Problem, V: Potential, t: float, R: float,
-    tol: float = REPORT_TOL,
+    res: SolveResult, prob: Problem, V: Potential, t: float, R: float
 ) -> EstimateReport:
     """``tail(T_t u, R) <= |E_R| + t ||f||_1 / (kappa R^gamma)``.
 
@@ -154,7 +151,7 @@ def check_tail_bound(
     bad = bad_set_measure(V, prob.spec, R, Vg=prob.V)
     rhs = bad + t * f_l1 / (V.kappa * R**V.gamma)
     return EstimateReport(
-        "tail_bound", lhs, rhs, tol,
+        "tail_bound", lhs, rhs, REPORT_TOL,
         _base_context(prob, t=t, R=R, kappa=V.kappa, gamma=V.gamma,
                       bad_measure=bad, f_l1=f_l1),
     )
@@ -162,30 +159,27 @@ def check_tail_bound(
 
 def check_stability(
     res_k: SolveResult, res_l: SolveResult, f_k: GridFunction, f_l: GridFunction,
-    prob: Problem, t: float, tol: float = REPORT_TOL,
+    prob: Problem, t: float
 ) -> EstimateReport:
     """``||T_t(u_k - u_l)||_X^p <= C_p t ||f_k - f_l||_1`` with ``C_p = 2^(p-2)``."""
     p = prob.p
-    if not t > 0:
-        raise ValueError(f"truncation level must be positive, got {t!r}")
     diff = res_k.u - res_l.u
     lhs = x_norm_p(truncate(diff, t), prob.V, p)
     c_p = 2.0 ** (p - 2.0)
     rhs = c_p * t * integrate((f_k - f_l).abs())
     return EstimateReport(
-        "stability", lhs, rhs, tol, _base_context(prob, t=t, C_p=c_p),
+        "stability", lhs, rhs, REPORT_TOL, _base_context(prob, t=t, C_p=c_p),
     )
 
 
 def check_superlevel_bound(
-    res: SolveResult, prob: Problem, level: float, f_ref_l1: float,
-    tol: float = REPORT_TOL,
+    res: SolveResult, prob: Problem, level: float, f_ref_l1: float
 ) -> EstimateReport:
     """``|{|u| > m}| <= m^(1-p) ||f||_1`` for the solved u."""
     lhs = superlevel_measure(res.u, level)
     rhs = level ** (1.0 - prob.p) * f_ref_l1
     return EstimateReport(
-        "superlevel_bound", lhs, rhs, tol,
+        "superlevel_bound", lhs, rhs, REPORT_TOL,
         _base_context(prob, m=level, f_l1=f_ref_l1),
     )
 
@@ -238,7 +232,7 @@ def _identity_scale(prob: Problem, t: float) -> float:
 
 def check_localized_identity(
     res: SolveResult, prob: Problem, phi: GridFunction, alpha: float, t: float,
-    c_budget: float, tol: float = REPORT_TOL,
+    c_budget: float
 ) -> EstimateReport:
     """Compare the identity defect against the budget ``c_budget * h * scale``.
 
@@ -249,7 +243,7 @@ def check_localized_identity(
     defect, supp_ok = identity_defect(res, prob, phi, alpha, t)
     rhs = c_budget * prob.spec.h * _identity_scale(prob, t)
     return EstimateReport(
-        "localized_identity", defect, rhs, tol,
+        "localized_identity", defect, rhs, REPORT_TOL,
         _base_context(prob, t=t, alpha=alpha, c_budget=c_budget,
                       supp_contained=supp_ok),
     )
@@ -296,20 +290,17 @@ def distributional_residual(
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Levels, truncation grids and tolerances for one scheme run."""
+    """Levels, truncation grids and solver limits for one scheme run."""
 
     k_list: tuple[float, ...]
     t_grid: tuple[float, ...]
     alpha_grid: tuple[float, ...] = (0.5, 1.0)
     R_grid: tuple[float, ...] = (2.0, 4.0, 6.0)
     eps_grid: tuple[float, ...] = (0.1, 0.5, 1.0)
-    tol: float = REPORT_TOL
     tol_residual: float | None = None
     max_iters: int = MAX_ITERS
 
     def __post_init__(self):
-        if not np.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol!r}")
         ks = tuple(float(k) for k in self.k_list)
         if not ks:
             raise ValueError("k_list must be nonempty")
@@ -413,18 +404,16 @@ def run_scheme(
         res, prob = solutions[k], probs[k]
         fk_l1 = integrate(data[k].abs())
         for t in cfg.t_grid:
-            level = [check_energy_estimate(res, prob, t, fk_l1, tol=cfg.tol)]
-            level += [check_tail_bound(res, prob, V, t, R, tol=cfg.tol) for R in cfg.R_grid]
-            level.append(check_superlevel_bound(res, prob, t, f_l1, tol=cfg.tol))
+            level = [check_energy_estimate(res, prob, t, fk_l1)]
+            level += [check_tail_bound(res, prob, V, t, R) for R in cfg.R_grid]
+            level.append(check_superlevel_bound(res, prob, t, f_l1))
             for rep in level:
                 rep.context["k"] = k
             reports += level
     for i, k in enumerate(good):
         for l in good[i + 1:]:
             for t in cfg.t_grid:
-                rep = check_stability(
-                    solutions[k], solutions[l], data[k], data[l], probs[k], t, tol=cfg.tol
-                )
+                rep = check_stability(solutions[k], solutions[l], data[k], data[l], probs[k], t)
                 rep.context["k"] = k
                 rep.context["l"] = l
                 reports.append(rep)

@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, row_blocks, sample
+from .grid import GridFunction, GridSpec, _require_radius, row_blocks, sample
 
 __all__ = [
     "Potential",
@@ -111,7 +111,7 @@ def polynomial_trap(gamma: float) -> Potential:
                      label=f"polynomial_trap(gamma={gamma:g})")
 
 
-def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
+def sparse_wells(gamma: float) -> Potential:
     """Trap with wells: V = 1 on balls ``B(2^k e1, 2^(-2k))``, else 1 + |x|^gamma.
 
     Confining in measure with kappa = 1 (the bad set is exactly the union
@@ -120,7 +120,7 @@ def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    k_max = max(1, int(math.floor(math.log2(max_center))))
+    k_max = 40  # the last well, centred at 2^40: beyond any desk-scale box
 
     def evaluator(*coords):
         arrs = [np.asarray(c, dtype=np.float64) for c in coords]
@@ -142,8 +142,7 @@ def sparse_wells(gamma: float, max_center: float = 2.0**40) -> Potential:
         np.exp2(k, out=k)
         return np.where(d2 < k, 1.0, background)
 
-    # metadata lists the evaluator's wells, up to those a desk-scale box can see
-    ks = range(1, min(k_max, 40) + 1)
+    ks = range(1, k_max + 1)
     return Potential(
         evaluator,
         kappa=1.0,
@@ -184,8 +183,7 @@ def _in_bad_set(V: Potential, r, values, R: float):
 def bad_set_measure(V: Potential, spec: GridSpec, R: float,
                     Vg: GridFunction | None = None) -> float:
     """Quadrature measure of ``{|x| >= R, V(x) < kappa |x|^gamma}`` on the grid."""
-    if R < 0:
-        raise ValueError(f"radius must be nonnegative, got {R!r}")
+    _require_radius(R)
     if Vg is None:
         Vg = sample_potential(V, spec)
     mask = _in_bad_set(V, spec.radii(), Vg.values, R)
@@ -203,6 +201,7 @@ def bad_set_measure_mc(V: Potential, spec: GridSpec, R: float, *,
     only integer hit counts are added up, so the estimate has the same bits
     for any block size.
     """
+    _require_radius(R)
     try:
         count = operator.index(samples)
     except TypeError:

@@ -107,7 +107,6 @@ class Problem:
     p: float
     V: GridFunction
     f: GridFunction
-    eps_reg: float | None = None
     tol_residual: float | None = None
     max_iters: int = MAX_ITERS
 
@@ -124,16 +123,17 @@ class Problem:
         if float(np.min(self.V.values)) < 1.0:
             raise ValueError("potential must satisfy V >= 1 at every node")
         fmax = self.f.max_abs()
-        if self.eps_reg is None:
-            object.__setattr__(self, "eps_reg", 1e-8 * max(1.0, fmax))
-        elif self.eps_reg < 0:
-            raise ValueError("eps_reg must be nonnegative")
         if self.tol_residual is None:
             object.__setattr__(self, "tol_residual", 1e-8 * fmax if fmax > 0 else 1e-15)
         elif not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+
+    @property
+    def eps_reg(self) -> float:
+        """Gradient level of the Newton Hessian's regularization; shapes the step only."""
+        return 1e-8 * max(1.0, self.f.max_abs())
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,14 +384,10 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
     spec = prob.spec
     interior = ~spec.boundary_mask()
     v0 = np.zeros(spec.num_nodes)
-    H = _hessian_interior(v0, _companion_p2(prob), 0.0)
+    H = _hessian_interior(v0, replace(prob, p=2.0), 0.0)
     rhs = (spec.weights() * prob.f.values)[interior]
     v0[interior], _ = _newton_solve(H, rhs, spec.m)
     return v0
-
-
-def _companion_p2(prob: Problem) -> Problem:
-    return replace(prob, p=2.0, eps_reg=0.0)
 
 
 _ARMIJO = 1e-4
@@ -426,7 +422,6 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     else:
         v = _linear_warm_start(prob)
 
-    eps = max(prob.eps_reg, 1e-30)
     trace = [_energy_arrays(v, prob)]
     iterations = 0
     linear_iterations = []
@@ -437,7 +432,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     while True:
         g = _gradient_arrays(v, prob)
         g[boundary] = 0.0
-        rsup = float(np.max(np.abs(g / spec.weights()))) if g.size else 0.0
+        rsup = float(np.max(np.abs(g / spec.weights())))
         if rsup <= prob.tol_residual:
             converged = True
             # polish: keep stepping while Newton still gains a decade, so the
@@ -449,7 +444,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         if iterations >= prob.max_iters:
             break
 
-        H = _hessian_interior(v, prob, eps)
+        H = _hessian_interior(v, prob, prob.eps_reg)
         g_int = g[interior]
         d_int, cg_steps = _newton_solve(H, -g_int, spec.m)
         linear_iterations.append(cg_steps)
@@ -479,13 +474,11 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         trace.append(min(J_new, J0))
         iterations += 1
 
-    v[boundary] = 0.0
-    u = GridFunction(spec, v)
-    r_final = residual(u, prob)
+    # every exit follows the residual of v, and steps vanish on the boundary
     return SolveResult(
-        u=u,
+        u=GridFunction(spec, v),
         iterations=iterations,
-        residual_sup=r_final.max_abs(),
+        residual_sup=rsup,
         energy=trace[-1],
         energy_trace=tuple(trace),
         converged=converged,

@@ -89,6 +89,19 @@ PIPE = {
 }
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [("pipeline", {**PIPE, "scheme": {**PIPE["scheme"], "tol": 0.5}}),
+     ("solve", {**BASE_SOLVE, "solver": {"eps_reg": 1e-6}})],
+    ids=["scheme-tol", "solver-eps_reg"],
+)
+def test_fixed_report_tolerance_and_regularization_are_unknown_keys(tmp_path, capsys,
+                                                                    command, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+
+
 def test_pipeline_standard_passes(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", PIPE)
     out = tmp_path / "out"
@@ -495,10 +508,10 @@ def test_verify_manifest_records_config_seed(tmp_path):
 @pytest.mark.parametrize(
     "config_text",
     [
-        json.dumps(PIPE).replace('"R_grid"', '"tol": 1e400, "R_grid"'),
+        json.dumps(PIPE).replace('"R_grid"', '"eps_grid": [1e400], "R_grid"'),
         json.dumps(PIPE).replace('"L": 8.0', '"L": NaN'),
     ],
-    ids=["tol-1e400", "L-nan"],
+    ids=["eps_grid-1e400", "L-nan"],
 )
 def test_non_finite_config_number_is_config_error(tmp_path, capsys, config_text):
     cfg = tmp_path / "cfg.json"

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pschrod.grid import GridSpec, row_blocks
+from pschrod.asymptotic import tail_lambda
+from pschrod.grid import GridFunction, GridSpec, annulus_integrate, row_blocks
 from pschrod.potentials import (
     bad_set_measure,
     bad_set_measure_mc,
@@ -178,15 +179,6 @@ def test_confinement_report_flags_sub_resolution_wells():
     assert len(rep.sub_resolution_wells) >= 2
 
 
-def test_wells_metadata_stops_at_max_center():
-    wells = sparse_wells(gamma=WELLS_GAMMA, max_center=8.0)
-    assert wells.well_centers == ((2.0,), (4.0,), (8.0,))
-    assert wells.well_radii == (0.25, 0.0625, 0.015625)
-    assert eval_at(wells, 8.0) == 1.0 and eval_at(wells, 16.0) == 257.0
-    rep = confinement_report(wells, GridSpec(1, 40.0, 4097), [2.0, 4.0])
-    assert rep.sub_resolution_wells == (2,)  # well k = 3 only
-
-
 def test_confinement_report_validation(fine_wells_grid):
     wells = sparse_wells(gamma=WELLS_GAMMA)
     with pytest.raises(ValueError):
@@ -249,6 +241,25 @@ def test_monte_carlo_rejects_bad_sample_count(samples):
     with pytest.raises(ValueError, match="sample count"):
         bad_set_measure_mc(sparse_wells(WELLS_GAMMA), GridSpec(1, 8.0, 3), 3.0,
                            samples=samples, seed=1)
+
+
+_TINY = GridSpec(1, 8.0, 3)
+
+
+@pytest.mark.parametrize("R", [-1.0, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda R: bad_set_measure(sparse_wells(WELLS_GAMMA), _TINY, R),
+        lambda R: bad_set_measure_mc(sparse_wells(WELLS_GAMMA), _TINY, R, seed=1),
+        lambda R: annulus_integrate(GridFunction(_TINY, np.ones(3)), R),
+        lambda R: tail_lambda(GridFunction(_TINY, np.ones(3)), R, 3.0),
+    ],
+    ids=["bad_set_measure", "bad_set_measure_mc", "annulus_integrate", "tail_lambda"],
+)
+def test_radius_must_be_nonnegative(measure, R):
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        measure(R)
 
 
 def test_monte_carlo_accepts_integer_types():

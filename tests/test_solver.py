@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +23,7 @@ from pschrod.presets import (
     standard_problem_factory,
 )
 from pschrod.solver import (
+    MAX_ITERS,
     Problem,
     _energy_arrays,
     _gradient_arrays,
@@ -62,6 +65,14 @@ def test_problem_stores_p_as_float():
 def test_problem_rejects_small_potential():
     with pytest.raises(ValueError):
         make_problem(V_field=lambda x: 0.9 + 0.0 * x)
+
+
+def test_newton_regularization_is_derived_from_the_datum():
+    with pytest.raises(TypeError):
+        make_problem(eps_reg=1e-6)
+    for height in (0.5, 3e4):
+        prob = make_problem(f_field=lambda x: height * np.exp(-(x**2)))
+        assert prob.eps_reg == 1e-8 * max(1.0, prob.f.max_abs())
 
 
 def test_energy_zero_candidate():
@@ -191,6 +202,16 @@ def test_solve_residual_below_tolerance():
     assert res.converged
     assert res.residual_sup <= prob.tol_residual
     assert residual(res.u, prob).max_abs() == res.residual_sup
+
+
+@pytest.mark.parametrize("n, m", [(1, 129), (2, 17), (3, 3), (3, 9)])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("max_iters", [MAX_ITERS, 1], ids=["converged", "capped"])
+def test_residual_sup_is_the_residual_of_the_returned_iterate(n, m, p, max_iters):
+    prob = replace(_trap_problem(n, m, p), max_iters=max_iters)
+    res = solve(prob)
+    assert res.converged or max_iters == 1
+    assert res.residual_sup == residual(res.u, prob).max_abs()
 
 
 def test_manufactured_p2_second_order():
