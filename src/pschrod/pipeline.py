@@ -43,6 +43,7 @@ from .asymptotic import (
 )
 from .grid import (
     GridFunction,
+    GridSpec,
     _require_zero_boundary,
     abs_power,
     energy_sums,
@@ -136,24 +137,29 @@ def check_energy_estimate(
     )
 
 
+def _require_tail_radius(R: float, spec: GridSpec) -> None:
+    if not 0 < R < spec.L * np.sqrt(spec.n):
+        raise ValueError(f"radius R = {R!r} must lie inside the box")
+
+
 def check_tail_bound(
-    res: SolveResult, prob: Problem, V: Potential, t: float, R: float
+    res: SolveResult, prob: Problem, V: Potential, t: float, R: float,
+    bad_measure: float, f_l1: float
 ) -> EstimateReport:
     """``tail(T_t u, R) <= |E_R| + t ||f||_1 / (kappa R^gamma)``.
 
-    ``prob.V`` must be ``V`` sampled on ``prob.spec`` (as in
-    :func:`run_scheme`); ``|E_R|`` is measured on those samples.
+    ``bad_measure`` is ``|E_R|`` of ``V`` on ``prob.spec``
+    (:func:`~pschrod.potentials.bad_set_measure`) and ``f_l1`` is
+    ``||f||_1`` of ``prob.f``; :func:`run_scheme` computes each once and
+    hands it to every check that needs it.
     """
-    if not 0 < R < prob.spec.L * np.sqrt(prob.spec.n):
-        raise ValueError(f"radius R = {R!r} must lie inside the box")
-    f_l1 = integrate(prob.f.abs())
+    _require_tail_radius(R, prob.spec)
     lhs = tail_lambda(truncate(res.u, t), R, prob.p)
-    bad = bad_set_measure(V, prob.spec, R, Vg=prob.V)
-    rhs = bad + t * f_l1 / (V.kappa * R**V.gamma)
+    rhs = bad_measure + t * f_l1 / (V.kappa * R**V.gamma)
     return EstimateReport(
         "tail_bound", lhs, rhs, REPORT_TOL,
         _base_context(prob, t=t, R=R, kappa=V.kappa, gamma=V.gamma,
-                      bad_measure=bad, f_l1=f_l1),
+                      bad_measure=bad_measure, f_l1=f_l1),
     )
 
 
@@ -304,6 +310,8 @@ class SchemeConfig:
         ks = tuple(float(k) for k in self.k_list)
         if not ks:
             raise ValueError("k_list must be nonempty")
+        if not all(k > 0 for k in ks):
+            raise ValueError(f"k_list levels must be positive, got {list(ks)}")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("k_list must be strictly increasing")
         labels = [f"{k:g}" for k in ks]  # each level's name in the artifacts
@@ -314,6 +322,9 @@ class SchemeConfig:
             vals = tuple(float(v) for v in getattr(self, name))
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
+            # R_grid is checked against the box by run_scheme
+            if name != "R_grid" and not all(0 < v < np.inf for v in vals):
+                raise ValueError(f"{name} entries must be finite and positive, got {list(vals)}")
             object.__setattr__(self, name, vals)
 
 
@@ -376,6 +387,8 @@ def run_scheme(
     omitted; when no level converges the result has no reports and no
     reference level (``reference_k`` is None).
     """
+    for R in cfg.R_grid:
+        _require_tail_radius(R, f.spec)
     V_g = sample_potential(V, f.spec)
     solutions: dict[float, SolveResult] = {}
     data: dict[float, GridFunction] = {}
@@ -399,13 +412,14 @@ def run_scheme(
     good = [k for k in cfg.k_list if k not in failed]
 
     f_l1 = integrate(f.abs())
+    bad = {R: bad_set_measure(V, f.spec, R, Vg=V_g) for R in cfg.R_grid}
     reports: list[EstimateReport] = []
     for k in good:
         res, prob = solutions[k], probs[k]
         fk_l1 = integrate(data[k].abs())
         for t in cfg.t_grid:
             level = [check_energy_estimate(res, prob, t, fk_l1)]
-            level += [check_tail_bound(res, prob, V, t, R) for R in cfg.R_grid]
+            level += [check_tail_bound(res, prob, V, t, R, bad[R], fk_l1) for R in cfg.R_grid]
             level.append(check_superlevel_bound(res, prob, t, f_l1))
             for rep in level:
                 rep.context["k"] = k

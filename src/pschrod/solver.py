@@ -17,7 +17,9 @@ of J with respect to interior nodal values divided by the node weight.
 The minimizer is found by damped Newton with backtracking line search.
 Each Newton system is solved by conjugate gradients preconditioned with
 exact solves on the grid lines along the last axis (see
-:func:`_newton_solve`).  The Newton system uses a Hessian regularized at
+:func:`_newton_solve`), only as accurately as the outer iteration needs:
+the CG tolerance is the Eisenstat-Walker forcing term of the step (see
+:func:`solve`).  The Newton system uses a Hessian regularized at
 gradient level eps (the p-Laplacian Hessian degenerates where the
 gradient vanishes for p > 2), but the step direction is computed against
 the exact gradient of J and the line search enforces monotone decrease of
@@ -291,7 +293,11 @@ def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix
 # ---------------------------------------------------------------------------
 # the Newton system
 
+# CG tolerance where the Newton step must be exact: every p = 2 solve (one
+# exact step minimizes a quadratic energy), the p = 2 warm start and the
+# polish steps; also the floor of the forcing terms
 _CG_RTOL = 1e-10
+_ETA_MAX = 1e-4  # forcing term of the first Newton step and cap of every later one
 
 
 def _line_band(H: sp.csr_matrix, m: int) -> np.ndarray:
@@ -328,14 +334,17 @@ def _line_preconditioner(H: sp.csr_matrix, m: int):
     return lambda r: dpttrs(d, e, r)[0]
 
 
-def _newton_solve(H: sp.csr_matrix, rhs: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+def _newton_solve(
+    H: sp.csr_matrix, rhs: np.ndarray, m: int, rtol: float
+) -> tuple[np.ndarray, int]:
     """Solve the SPD system ``H x = rhs`` on interior nodes; return x and the CG count.
 
-    Conjugate gradients from x = 0 to relative residual ``_CG_RTOL``,
+    Conjugate gradients from x = 0 to relative residual ``rtol``,
     preconditioned with exact solves on the line blocks of H
     (:func:`_line_preconditioner`).  In 1D the one line is all of H and a
-    single step is exact.  Every CG iterate started from 0 is a descent
-    direction for a Newton system with rhs = -gradient.
+    single step is exact, whatever ``rtol``.  Every CG iterate started from
+    0 is a descent direction for a Newton system with rhs = -gradient, so a
+    loose ``rtol`` still gives a step the line search accepts.
     """
     precondition = spla.LinearOperator(
         H.shape, matvec=_line_preconditioner(H, m), dtype=np.float64
@@ -346,7 +355,7 @@ def _newton_solve(H: sp.csr_matrix, rhs: np.ndarray, m: int) -> tuple[np.ndarray
         nonlocal count
         count += 1
 
-    x, _ = spla.cg(H, rhs, x0=np.zeros_like(rhs), rtol=_CG_RTOL, atol=0.0,
+    x, _ = spla.cg(H, rhs, x0=np.zeros_like(rhs), rtol=rtol, atol=0.0,
                    M=precondition, callback=counted)
     return x, count
 
@@ -386,7 +395,7 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
     v0 = np.zeros(spec.num_nodes)
     H = _hessian_interior(v0, replace(prob, p=2.0), 0.0)
     rhs = (spec.weights() * prob.f.values)[interior]
-    v0[interior], _ = _newton_solve(H, rhs, spec.m)
+    v0[interior], _ = _newton_solve(H, rhs, spec.m, _CG_RTOL)
     return v0
 
 
@@ -407,6 +416,12 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     silent success.  The start is ``u0`` (zeroed on the boundary; the
     scheme passes the previous level's solution), else 0 for p = 2 and the
     p = 2 companion solution for p > 2.
+
+    For p > 2 each Newton system is solved inexactly, to the relative
+    residual of an Eisenstat-Walker forcing term (choice 2, gamma = 0.9,
+    alpha = 2): ``1e-4`` on the first step, then ``0.9 (|g_k| / |g_k-1|)^2``
+    clipped to ``[1e-10, 1e-4]``, with ``g_k`` the interior gradient of
+    step k.  The polish steps and every p = 2 solve take ``1e-10``.
     """
     spec = prob.spec
     boundary = spec.boundary_mask()
@@ -428,6 +443,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     polish_left = _POLISH_STEPS
     polish_prev = np.inf
     converged = False
+    g_norm_prev = None
 
     while True:
         g = _gradient_arrays(v, prob)
@@ -446,7 +462,15 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
 
         H = _hessian_interior(v, prob, prob.eps_reg)
         g_int = g[interior]
-        d_int, cg_steps = _newton_solve(H, -g_int, spec.m)
+        g_norm = float(np.linalg.norm(g_int))
+        if converged or prob.p == 2.0:
+            rtol = _CG_RTOL
+        elif g_norm_prev is None:
+            rtol = _ETA_MAX
+        else:
+            rtol = min(max(0.9 * (g_norm / g_norm_prev) ** 2, _CG_RTOL), _ETA_MAX)
+        g_norm_prev = g_norm
+        d_int, cg_steps = _newton_solve(H, -g_int, spec.m, rtol)
         linear_iterations.append(cg_steps)
         step = np.zeros_like(v)
         step[interior] = d_int

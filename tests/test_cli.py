@@ -497,6 +497,31 @@ def test_verify_config_seed_must_be_u64_integer(tmp_path, capsys, seed):
     assert "config error" in err and "seed" in err
 
 
+@pytest.mark.parametrize(
+    "grid, values, message",
+    [
+        ("t_grid", [0, 1], "finite and positive"),
+        ("t_grid", [-1], "finite and positive"),
+        ("alpha_grid", [0.5, 0], "finite and positive"),
+        ("eps_grid", [-0.1], "finite and positive"),
+        ("R_grid", [0, 2], "inside the box"),
+        ("R_grid", [2, -4], "inside the box"),
+        ("R_grid", [8], "inside the box"),
+    ],
+    ids=["t0", "t-neg", "alpha0", "eps-neg", "R0", "R-neg", "R-box"],
+)
+def test_pipeline_bad_scheme_grid_fails_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                        grid, values, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve must not be called")
+
+    monkeypatch.setattr("pschrod.pipeline.solve", no_solve)
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**PIPE, "scheme": {**PIPE["scheme"], grid: values}})
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_manifest_records_config_seed(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"seed": 3, "suites": ["monotonicity"]})
     out = tmp_path / "v"

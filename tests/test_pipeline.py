@@ -19,7 +19,7 @@ from pschrod.pipeline import (
     save_scheme_result,
     truncation_perturbation,
 )
-from pschrod.potentials import polynomial_trap, sample_potential
+from pschrod.potentials import bad_set_measure, polynomial_trap, sample_potential
 from pschrod.presets import (
     bump,
     identity_case,
@@ -133,16 +133,22 @@ def test_energy_estimate_3d_in_solver_norm():
         assert rep.passed, (t, rep.lhs / rep.rhs)
 
 
+def _tail_bound(res, prob, pot, t, R):
+    """:func:`check_tail_bound` with |E_R| and ||f||_1 measured as run_scheme does."""
+    bad = bad_set_measure(pot, prob.spec, R, Vg=prob.V)
+    return check_tail_bound(res, prob, pot, t, R, bad, integrate(prob.f.abs()))
+
+
 def test_tail_bound_trap_formula(small_case):
     prob, pot, res = small_case
     f_l1 = integrate(prob.f.abs())
     for t in (0.5, 1.0):
         for R in (2.0, 4.0, 6.0):
-            rep = check_tail_bound(res, prob, pot, t, R)
+            rep = _tail_bound(res, prob, pot, t, R)
             assert rep.passed
             assert rep.context["bad_measure"] == 0.0
             assert rep.rhs == pytest.approx(t * f_l1 / R**2, rel=1e-12)
-    rhs_list = [check_tail_bound(res, prob, pot, 1.0, R).rhs for R in (2.0, 4.0, 6.0)]
+    rhs_list = [_tail_bound(res, prob, pot, 1.0, R).rhs for R in (2.0, 4.0, 6.0)]
     assert rhs_list[0] > rhs_list[1] > rhs_list[2]
 
 
@@ -157,14 +163,14 @@ def test_tail_bound_zero_for_compact_support(small_case):
         iterations=0, residual_sup=0.0, energy=0.0, energy_trace=(0.0,),
         converged=True, linear_iterations=(),
     )
-    rep = check_tail_bound(compact, prob, pot, t=1.0, R=7.5)
+    rep = _tail_bound(compact, prob, pot, t=1.0, R=7.5)
     assert rep.lhs == 0.0 and rep.passed
 
 
 def test_tail_bound_rejects_outside_radius(small_case):
     prob, pot, res = small_case
     with pytest.raises(ValueError):
-        check_tail_bound(res, prob, pot, t=1.0, R=9.0)
+        check_tail_bound(res, prob, pot, t=1.0, R=9.0, bad_measure=0.0, f_l1=1.0)
 
 
 def test_stability_identical_data_is_exact_zero(small_case):
@@ -287,6 +293,33 @@ def test_scheme_config_validation():
         SchemeConfig(k_list=(1.0, 2.0), t_grid=())
 
 
+@pytest.mark.parametrize("name", ["t_grid", "alpha_grid", "eps_grid"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_scheme_config_rejects_nonpositive_or_non_finite_levels(name, bad):
+    grids = {"t_grid": (1.0,), name: (0.5, bad)}
+    with pytest.raises(ValueError, match="finite and positive"):
+        SchemeConfig(k_list=(1.0,), **grids)
+
+
+@pytest.mark.parametrize("k_list", [(1.0, 2.0, np.nan), (0.0, 1.0), (-1.0, 2.0)])
+def test_scheme_config_rejects_nonpositive_or_nan_levels(k_list):
+    with pytest.raises(ValueError, match="must be positive"):
+        SchemeConfig(k_list=k_list, t_grid=(1.0,))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve must not be called")
+
+
+@pytest.mark.parametrize("R", [0.0, -2.0, np.nan, 8.0, 9.0])
+def test_run_scheme_rejects_radius_outside_box_before_solving(R, monkeypatch):
+    monkeypatch.setattr("pschrod.pipeline.solve", _no_solve)
+    spec = GridSpec(1, 8.0, 65)
+    cfg = SchemeConfig(k_list=(1.0, 2.0), t_grid=(1.0,), R_grid=(2.0, R))
+    with pytest.raises(ValueError, match="inside the box"):
+        run_scheme(two_bump_datum(spec), standard_potential(), 3.0, cfg)
+
+
 def test_run_scheme_zero_datum():
     spec = GridSpec(1, 8.0, 65)
     f = GridFunction(spec, np.zeros(65))
@@ -356,9 +389,11 @@ def test_run_scheme_continuation_saves_newton_steps_in_3d():
     res = run_scheme(f, standard_potential(), 3.0, cfg)
     assert not res.failed_k
     assert sum(res.solutions[k].iterations for k in cfg.k_list) == 42
+    assert sum(sum(res.solutions[k].linear_iterations) for k in cfg.k_list) == 243
     V = sample_potential(standard_potential(), spec)
     cold = [solve(Problem(spec, 3.0, V, regularize_datum(f, k))) for k in cfg.k_list]
     assert sum(r.iterations for r in cold) == 52
+    assert sum(sum(r.linear_iterations) for r in cold) == 303
 
 
 def test_run_scheme_starts_past_a_non_convergent_level():

@@ -22,6 +22,7 @@ from pschrod.presets import (
     manufactured_p4_datum,
     standard_problem_factory,
 )
+from pschrod import solver
 from pschrod.solver import (
     MAX_ITERS,
     Problem,
@@ -328,7 +329,7 @@ def test_newton_solve_matches_direct_solve(n, m, p, rng):
         v[~spec.boundary_mask()] = rng.standard_normal(int(np.sum(~spec.boundary_mask())))
     H = _hessian_interior(v, prob, eps)
     rhs = rng.standard_normal(H.shape[0])
-    x, count = _newton_solve(H, rhs, m)
+    x, count = _newton_solve(H, rhs, m, 1e-10)
     exact = spla.spsolve(H.tocsc(), rhs)
     assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
     if n == 1:
@@ -446,22 +447,76 @@ def test_1d_newton_steps_take_one_cg_iteration():
     assert res.diagnostics()["linear_iterations"] == [1] * res.iterations
 
 
-def test_solve_3d_m25_matches_direct_solve_reference():
-    # the 3D benchmark trap and datum at m = 25; the sparse direct solve took
-    # 12 Newton steps to the energy below
-    spec = GridSpec(3, 6.0, 25)
+def _benchmark_trap_problem(n, m, p):
+    """The 3D benchmark trap ``1 + |x|^2`` and two-Gaussian datum on [-6, 6]^n."""
+    spec = GridSpec(n, 6.0, m)
     x = spec.node_coords()
     V = GridFunction(spec, 1.0 + np.sum(x**2, axis=1))
     f = GridFunction(
         spec,
-        12.0 * np.exp(-np.sum((x - [-2.0, 0.0, 0.0]) ** 2, axis=1) / 0.64)
-        + 4.0 * np.exp(-np.sum((x - [2.0, 1.0, -1.0]) ** 2, axis=1)),
+        12.0 * np.exp(-np.sum((x - [-2.0, 0.0, 0.0][:n]) ** 2, axis=1) / 0.64)
+        + 4.0 * np.exp(-np.sum((x - [2.0, 1.0, -1.0][:n]) ** 2, axis=1)),
     )
-    res = solve(Problem(spec=spec, p=3.0, V=V, f=f))
+    return Problem(spec=spec, p=p, V=V, f=f)
+
+
+def test_solve_3d_m25_matches_direct_solve_reference():
+    # the 3D benchmark trap and datum at m = 25; the sparse direct solve took
+    # 12 Newton steps to the energy below
+    res = solve(_benchmark_trap_problem(3, 25, 3.0))
     assert res.converged
     assert res.iterations == 12
     assert res.energy == pytest.approx(-22.16469913622148, rel=1e-12)
     assert len(res.linear_iterations) == res.iterations
+    assert sum(res.linear_iterations) == 162
+
+
+def test_solve_2d_m129_p4_inexact_newton_keeps_the_energy():
+    # the energy of the same solve with every Newton system solved to 1e-10
+    res = solve(_benchmark_trap_problem(2, 129, 4.0))
+    assert res.converged
+    assert res.iterations == 16
+    assert res.energy == pytest.approx(-23.823046859438648, rel=1e-12)
+    assert sum(res.linear_iterations) == 837
+
+
+def test_solve_3d_p2_solves_every_system_exactly():
+    # one exact Newton step minimizes the quadratic energy; forcing terms
+    # would only add steps
+    res = solve(_benchmark_trap_problem(3, 17, 2.0))
+    assert res.converged
+    assert res.iterations == 3
+    assert sum(res.linear_iterations) == 52
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_newton_systems_use_eisenstat_walker_forcing_terms(p, monkeypatch):
+    prob = _trap_problem(2, 33, p)
+    w = prob.spec.weights()[~prob.spec.boundary_mask()]
+    calls = []  # (|rhs|_2, residual sup-norm, rtol) of every linear solve
+
+    def recording(H, rhs, m, rtol):
+        calls.append((np.linalg.norm(rhs), np.max(np.abs(rhs / w)), rtol))
+        return _newton_solve(H, rhs, m, rtol)
+
+    monkeypatch.setattr(solver, "_newton_solve", recording)
+    res = solve(prob)
+    assert res.converged
+    if p == 2.0:
+        assert {rtol for *_, rtol in calls} == {1e-10}
+        return
+    warm, steps = calls[0], calls[1:]
+    assert warm[2] == 1e-10
+    assert steps[0][2] == 1e-4
+    polish = False
+    for (norm_prev, _, _), (norm, rsup, rtol) in zip(steps, steps[1:]):
+        polish = polish or rsup <= prob.tol_residual
+        if polish:
+            assert rtol == 1e-10
+        else:
+            assert rtol == min(max(0.9 * (norm / norm_prev) ** 2, 1e-10), 1e-4)
+    assert polish
+    assert any(1e-10 < rtol < 1e-4 for *_, rtol in steps)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
