@@ -32,15 +32,12 @@ from .compactness import (
     ark_check,
     epsilon_net,
     kr_report,
-    maximal,
-    maximal_translation_check,
     translation_defect,
 )
 from .grid import (
     GridFunction,
     GridSpec,
     abs_power,
-    annulus_integrate,
     cell_gradient_matrix,
     cell_gradient_squared,
     energy_sums,

@@ -20,15 +20,12 @@ in the modulus as a truncation artifact.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .asymptotic import (
-    EstimateReport,
     lambda_dist,
     lambda_mass_rows,
     lp_norm,
@@ -41,10 +38,8 @@ from .grid import GridFunction, GridSpec, gradient
 __all__ = [
     "FunctionFamily",
     "FamilyReport",
-    "maximal",
     "shift_lattice",
     "translation_defect",
-    "maximal_translation_check",
     "kr_report",
     "ark_check",
     "epsilon_net",
@@ -109,38 +104,6 @@ class FamilyReport:
         }
 
 
-def maximal(u: GridFunction) -> GridFunction:
-    """Centered maximal function over the radius set ``{h, 2h, ..., 2L sqrt(n)}``.
-
-    Ball averages are quadrature-weighted and normalized by the weight
-    actually inside the box, so constants are fixed points.  Balls are
-    accumulated ring by ring, which visits every node offset exactly once.
-    """
-    spec = u.spec
-    n, m = spec.n, spec.m
-    absu = np.abs(u.reshaped())
-    w = spec.weights().reshape(spec.shape)
-    wu = w * absu
-
-    S = np.zeros(spec.shape)
-    W = np.zeros(spec.shape)
-    M = np.zeros(spec.shape)
-    max_ring = int(math.ceil(math.sqrt(n) * (m - 1)))
-
-    rings: dict[int, list[tuple[int, ...]]] = {}
-    for o in itertools.product(range(-(m - 1), m), repeat=n):
-        ring = int(math.ceil(math.sqrt(sum(c * c for c in o))))
-        rings.setdefault(ring, []).append(o)
-
-    for j in range(0, max_ring + 1):
-        for o in rings.get(j, ()):
-            _shift_add(S, wu, o)
-            _shift_add(W, w, o)
-        if j >= 1:
-            np.maximum(M, S / W, out=M)
-    return GridFunction(spec, M.ravel())
-
-
 def _shift_add(acc: np.ndarray, src: np.ndarray, offset: tuple[int, ...]) -> None:
     """acc[i] += src[i + offset] wherever i + offset stays on the grid."""
     m = acc.shape[0]
@@ -175,18 +138,14 @@ def _shifted_values(u: GridFunction, offset: tuple[int, ...]) -> np.ndarray:
     return out.ravel()
 
 
-def _short_shift(spec: GridSpec, y) -> tuple[tuple[int, ...], float]:
-    """Node offset and length of a lattice shift shorter than the box half-width."""
-    offset = shift_lattice(spec, y)
-    length = float(np.linalg.norm(np.asarray(offset) * spec.h))
-    if length >= spec.L:
-        raise ValueError("shift magnitude must stay below the box half-width")
-    return offset, length
-
-
 def translation_defect(u: GridFunction, y, p) -> float:
-    """``integral min(|u(x + y) - u(x)|, 1)^p dx`` with zero extension."""
-    offset, _ = _short_shift(u.spec, y)
+    """``integral min(|u(x + y) - u(x)|, 1)^p dx`` with zero extension.
+
+    ``y`` must be a lattice shift shorter than the box half-width.
+    """
+    offset = shift_lattice(u.spec, y)
+    if np.linalg.norm(np.asarray(offset) * u.spec.h) >= u.spec.L:
+        raise ValueError("shift magnitude must stay below the box half-width")
     shifted = _shifted_values(u, offset)
     return float(lambda_mass_rows(shifted - u.values, u.spec.weights(), p))
 
@@ -195,46 +154,6 @@ def _gradient_magnitude(u: GridFunction) -> GridFunction:
     """``|grad u|`` at every node, from the nodal gradient."""
     g = gradient(u)
     return GridFunction(u.spec, np.sqrt(np.sum(g * g, axis=-1)))
-
-
-def maximal_translation_check(
-    u: GridFunction,
-    y,
-    c_ref: float | None = None,
-) -> EstimateReport:
-    """Empirical constant in ``|u(x+y) - u(x)| <= C |y| (Mg(x+y) + Mg(x))``.
-
-    ``Mg`` is the maximal function of ``|grad u|``.  The samples are the
-    interior nodes x with x + y on the grid.  Reports the largest ratio
-    over them as ``lhs``; when ``c_ref`` is given the
-    check passes iff the constant stays below it (use twice the constant
-    of a coarser grid to test refinement stability), otherwise ``rhs``
-    echoes the constant and the report documents finiteness only.
-    Samples where the bound degenerates (zero denominator, nonzero
-    numerator) are excluded and counted in the context.
-    """
-    spec = u.spec
-    offset, y_norm = _short_shift(spec, y)
-    mg = maximal(_gradient_magnitude(u))
-    ones = GridFunction(spec, np.ones(spec.num_nodes))
-    keep = (_shifted_values(ones, offset) > 0.0) & ~spec.boundary_mask()
-
-    numer = np.abs(_shifted_values(u, offset)[keep] - u.values[keep])
-    denom = y_norm * (_shifted_values(mg, offset)[keep] + mg.values[keep])
-    degenerate = (denom == 0.0) & (numer > 0.0)
-    ratio = np.divide(numer, denom, out=np.zeros(numer.size), where=denom > 0.0)
-    c_emp = float(np.max(ratio, initial=0.0))
-
-    rhs = c_emp if c_ref is None else float(c_ref)
-    return EstimateReport(
-        "maximal_translation", c_emp, rhs, 0.0,
-        {
-            "shift": list(np.asarray(offset) * u.spec.h),
-            "samples": int(numer.size),
-            "excluded_degenerate": int(np.sum(degenerate)),
-            "grid": spec.describe(),
-        },
-    )
 
 
 def _axis_shifts(spec: GridSpec, magnitude: float) -> list[np.ndarray]:

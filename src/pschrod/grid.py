@@ -44,7 +44,6 @@ __all__ = [
     "abs_power",
     "row_blocks",
     "integrate",
-    "annulus_integrate",
     "zero_boundary",
     "save_grid_function",
     "load_grid_function",
@@ -387,17 +386,6 @@ def row_blocks(rows: int, width: int) -> Iterator[slice]:
 def integrate(u: GridFunction) -> float:
     """Tensor-product trapezoid quadrature over the box; exact for affine."""
     return float(np.dot(u.spec.weights(), u.values))
-
-
-def annulus_integrate(u: GridFunction, R: float) -> float:
-    """Trapezoid quadrature restricted to nodes with ``|x| > R`` (strict).
-
-    A node's full weight counts iff its coordinate satisfies ``|x| > R``;
-    cells are never clipped.
-    """
-    _require_radius(R)
-    mask = u.spec.radii() > R
-    return float(np.dot(u.spec.weights()[mask], u.values[mask]))
 
 
 def zero_boundary(u: GridFunction) -> GridFunction:

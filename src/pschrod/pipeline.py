@@ -3,15 +3,19 @@
 Given an integrable datum f, the scheme solves the problem for the
 regularized data ``f_k = T_k(f) . indicator(|x| < k)`` over an increasing
 list of levels k, in order and each from the last converged level, and
-verifies, for each solution and each configured truncation level t,
+reports, for each solution and each configured truncation level t,
 radius R and pair k < l:
 
 * energy estimate      ``||T_t(u_k)||_X^p <= t ||f_k||_1``
 * tail bound           ``tail(T_t(u_k), R) <= |E_R| + t ||f_k||_1 / (kappa R^gamma)``
 * stability            ``||T_t(u_k - u_l)||_X^p <= 2^(p-2) t ||f_k - f_l||_1``
 * superlevel bound     ``|{|u_k| > m}| <= m^(1-p) ||f||_1``
-* localized identity   entropy-type identity with test perturbation
-                       ``T_t(T_a(u) - phi) - T_t(T_a(u))``
+
+The localized identity, an entropy-type identity with test perturbation
+``T_t(T_a(u) - phi) - T_t(T_a(u))``, is not part of the scheme: the
+``localized_identity`` suite of :mod:`pschrod.verify` checks it under
+refinement, and :func:`check_localized_identity` reports it for one
+solution.
 
 Energy norms of truncations (energy, stability and the convergence
 records) are :func:`~pschrod.asymptotic.x_norm_p` of ``T_t u``, which

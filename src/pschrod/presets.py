@@ -22,7 +22,6 @@ __all__ = [
     "two_bump_datum",
     "standard_grid",
     "standard_potential",
-    "standard_scheme_config",
     "standard_problem_factory",
     "small_scheme",
     "identity_case",
@@ -31,7 +30,6 @@ __all__ = [
     "fixed_bumps",
     "manufactured_p2_solution",
     "manufactured_p2_datum",
-    "manufactured_p4_datum",
 ]
 
 
@@ -86,15 +84,6 @@ def two_bump_datum(spec: GridSpec) -> GridFunction:
     return sample(spec, two_bump)
 
 
-def standard_scheme_config() -> SchemeConfig:
-    """Levels k in {1, 2, 4, 8, 16}; the R grid and tolerance are SchemeConfig's."""
-    return SchemeConfig(
-        k_list=(1.0, 2.0, 4.0, 8.0, 16.0),
-        t_grid=(0.1, 0.5, 1.0, 2.0, 5.0),
-        alpha_grid=(0.5, 1.0, 2.0),
-    )
-
-
 def manufactured_p2_solution(x):
     return np.exp(-(x**2))
 
@@ -102,25 +91,6 @@ def manufactured_p2_solution(x):
 def manufactured_p2_datum(x):
     """Datum whose p = 2 solution with V = 1 is exp(-x^2) on the line."""
     return (3.0 - 4.0 * x**2) * np.exp(-(x**2))
-
-
-def manufactured_p4_datum(spec: GridSpec) -> GridFunction:
-    """p = 4 companion datum for the Gaussian profile, V = 1.
-
-    The flux ``|u'|^2 u'`` of the closed-form profile is differentiated
-    numerically on a ten times finer step, then
-    ``f = -(|u'|^2 u')' + |u|^2 u`` is sampled at the nodes.
-    """
-    x = spec.axis_coords()
-    dh = spec.h / 10
-
-    def flux(y):
-        du = -2.0 * y * np.exp(-(y**2))
-        return np.abs(du) ** 2 * du
-
-    dflux = (flux(x + dh) - flux(x - dh)) / (2.0 * dh)
-    u = manufactured_p2_solution(x)
-    return GridFunction(spec, -dflux + np.abs(u) ** 2 * u)
 
 
 def standard_problem_factory(p: float, m: int = 257):

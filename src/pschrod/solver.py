@@ -261,14 +261,16 @@ def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     return pattern
 
 
-def _hessian_interior(v: np.ndarray, prob: Problem, eps: float) -> sp.csr_matrix:
+def _hessian_interior(v: np.ndarray, prob: Problem) -> sp.csr_matrix:
     """``h^n G_int^T K G_int + diag`` on interior nodes, K the per-cell n x n weights.
+
+    Regularized at gradient level ``prob.eps_reg``; at p = 2 every
+    eps-dependent factor is raised to the power 0, so eps has no effect.
 
     Filled into the cached pattern of the grid (:class:`_HessianPattern`):
     every stored entry is kept, also one that sums to exactly zero.
     """
-    spec = prob.spec
-    p = prob.p
+    spec, p, eps = prob.spec, prob.p, prob.eps_reg
     pattern = _hessian_pattern(spec)
     comps, s = cell_gradient_squared(v, spec)
     s += eps * eps
@@ -393,7 +395,7 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
     spec = prob.spec
     interior = ~spec.boundary_mask()
     v0 = np.zeros(spec.num_nodes)
-    H = _hessian_interior(v0, replace(prob, p=2.0), 0.0)
+    H = _hessian_interior(v0, replace(prob, p=2.0))
     rhs = (spec.weights() * prob.f.values)[interior]
     v0[interior], _ = _newton_solve(H, rhs, spec.m, _CG_RTOL)
     return v0
@@ -460,7 +462,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         if iterations >= prob.max_iters:
             break
 
-        H = _hessian_interior(v, prob, prob.eps_reg)
+        H = _hessian_interior(v, prob)
         g_int = g[interior]
         g_norm = float(np.linalg.norm(g_int))
         if converged or prob.p == 2.0:

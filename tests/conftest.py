@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from pschrod.pipeline import run_scheme
-from pschrod.presets import (
-    standard_grid,
-    standard_potential,
-    standard_scheme_config,
-    two_bump_datum,
-)
+from pschrod.pipeline import SchemeConfig, run_scheme
+from pschrod.presets import standard_grid, standard_potential, two_bump_datum
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +12,12 @@ def std_datum():
 
 @pytest.fixture(scope="session")
 def std_config():
-    return standard_scheme_config()
+    """Levels k in {1, 2, 4, 8, 16}; the R grid is SchemeConfig's."""
+    return SchemeConfig(
+        k_list=(1.0, 2.0, 4.0, 8.0, 16.0),
+        t_grid=(0.1, 0.5, 1.0, 2.0, 5.0),
+        alpha_grid=(0.5, 1.0, 2.0),
+    )
 
 
 @pytest.fixture(scope="session")

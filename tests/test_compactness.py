@@ -9,59 +9,11 @@ from pschrod.compactness import (
     ark_check,
     epsilon_net,
     kr_report,
-    maximal,
-    maximal_translation_check,
     shift_lattice,
     translation_defect,
 )
 from pschrod.grid import GridFunction, GridSpec, integrate, sample
 from pschrod.presets import bump, small_scheme, translating_bumps, two_bump_datum
-
-
-def test_maximal_constant_fixed_point():
-    spec = GridSpec(1, 4.0, 129)
-    c = GridFunction(spec, np.full(129, 3.25))
-    assert np.allclose(maximal(c).values, 3.25, rtol=1e-12, atol=0.0)
-    spec2 = GridSpec(2, 1.0, 9)
-    c2 = GridFunction(spec2, np.full(81, 0.7))
-    assert np.allclose(maximal(c2).values, 0.7, rtol=1e-12, atol=0.0)
-
-
-def test_maximal_indicator_quarter_at_two():
-    # continuum M(chi_[0,1])(2) = 1/4, attained at radius 2
-    spec = GridSpec(1, 4.0, 257)
-    x = spec.axis_coords()
-    u = GridFunction(spec, ((x >= 0.0) & (x <= 1.0)).astype(float))
-    M = maximal(u)
-    at2 = M.values[int(np.argmin(np.abs(x - 2.0)))]
-    assert at2 == pytest.approx(0.25, abs=3.0 * spec.h)
-
-
-def test_maximal_dominates_smooth_function_up_to_h():
-    spec = GridSpec(1, 4.0, 257)
-    u = sample(spec, bump(0.0, 1.0, 2.0))
-    slope = float(np.max(np.abs(np.gradient(u.values, spec.h))))
-    assert np.all(maximal(u).values >= np.abs(u.values) - 2.0 * spec.h * slope)
-
-
-def test_maximal_nonnegative_and_sublinear(rng):
-    spec = GridSpec(1, 2.0, 65)
-    for _ in range(20):
-        u = GridFunction(spec, rng.standard_normal(65))
-        v = GridFunction(spec, rng.standard_normal(65))
-        Mu, Mv = maximal(u), maximal(v)
-        assert np.all(Mu.values >= 0.0)
-        Msum = maximal(u + v)
-        assert np.all(Msum.values <= Mu.values + Mv.values + 1e-12)
-
-
-def test_maximal_monotone_on_nonnegative(rng):
-    spec = GridSpec(1, 2.0, 65)
-    u_vals = np.abs(rng.standard_normal(65))
-    v_vals = u_vals + np.abs(rng.standard_normal(65))
-    Mu = maximal(GridFunction(spec, u_vals))
-    Mv = maximal(GridFunction(spec, v_vals))
-    assert np.all(Mu.values <= Mv.values + 1e-12)
 
 
 def test_shift_lattice_snaps_and_rejects():
@@ -71,6 +23,16 @@ def test_shift_lattice_snaps_and_rejects():
         shift_lattice(spec, [0.4 * spec.h])
     with pytest.raises(ValueError):
         shift_lattice(spec, [spec.h, spec.h])
+
+
+def test_translation_defect_rejects_shift_beyond_half_width():
+    # L = 1: the diagonal shift is checked by its length, not by its components
+    spec = GridSpec(2, 1.0, 9)
+    u = GridFunction(spec, np.ones(81))
+    assert translation_defect(u, [0.75, 0.5], 2.0) > 0.0
+    for y in ([0.75, 0.75], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="half-width"):
+            translation_defect(u, y, 2.0)
 
 
 def test_translation_defect_zero_shift(rng):
@@ -126,36 +88,6 @@ def test_translation_defect_shift_composition(rng):
             u, [o2 * spec.h], p
         )
         assert whole <= 2.0 ** (p - 1.0) * parts * (1 + 1e-9) + 1e-12
-
-
-def test_maximal_translation_affine_exactly_half():
-    spec = GridSpec(1, 4.0, 129)
-    u = sample(spec, lambda x: 1.7 * x)
-    rep = maximal_translation_check(u, [4.0 * spec.h])
-    assert rep.lhs == pytest.approx(0.5, abs=1e-12)
-    assert rep.context["excluded_degenerate"] == 0
-
-
-def test_maximal_translation_constant_is_zero():
-    spec = GridSpec(1, 4.0, 65)
-    u = GridFunction(spec, np.full(65, 4.0))
-    rep = maximal_translation_check(u, [2.0 * spec.h])
-    assert rep.lhs == 0.0 and rep.passed
-
-
-def test_maximal_translation_refinement_stable():
-    consts = {}
-    for m in (129, 257):
-        spec = GridSpec(1, 4.0, m)
-        u = sample(spec, bump(0.5, 0.8, 2.0))
-        rep = maximal_translation_check(u, [8.0 / (m - 1) * 2.0])
-        consts[m] = rep.lhs
-    rep = maximal_translation_check(
-        sample(GridSpec(1, 4.0, 257), bump(0.5, 0.8, 2.0)),
-        [8.0 / 256.0 * 2.0],
-        c_ref=2.0 * consts[129],
-    )
-    assert rep.passed
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pschrod.asymptotic import tail_lambda
 from pschrod.grid import (
     GridFunction,
     GridSpec,
     abs_power,
-    annulus_integrate,
     cell_gradient_matrix,
     cell_gradient_squared,
     cell_gradient_transpose,
@@ -247,27 +247,29 @@ def test_integrate_nonnegative(rng):
 def test_annulus_empty_beyond_corner():
     spec = GridSpec(2, 1.0, 5)
     u = GridFunction(spec, np.ones(25))
-    assert annulus_integrate(u, np.sqrt(2.0) * 1.0) == 0.0
+    assert tail_lambda(u, np.sqrt(2.0) * 1.0, 3.0) == 0.0
 
 
 def test_annulus_origin_complement():
+    # values below 1, so min(|u|, 1)^p = |u|^p
     spec = GridSpec(1, 2.0, 5)
-    u = GridFunction(spec, np.abs(np.arange(5.0)) + 1.0)
+    u = GridFunction(spec, (np.arange(5.0) + 1.0) / 8.0)
     origin = int(np.flatnonzero(spec.radii() == 0.0)[0])
-    origin_term = float(spec.weights()[origin] * u.values[origin])
-    assert annulus_integrate(u, 0.0) + origin_term == pytest.approx(integrate(u), rel=1e-14)
+    origin_term = float(spec.weights()[origin] * u.values[origin] ** 3)
+    whole = integrate(GridFunction(spec, u.values**3))
+    assert tail_lambda(u, 0.0, 3.0) + origin_term == pytest.approx(whole, rel=1e-14)
 
 
 def test_annulus_hand_value():
     # L=2, m=5, R=1: only x = +-2 survive, each with boundary weight h/2 = 0.5
     u = sample(GridSpec(1, 2.0, 5), lambda x: 1.0 + 0.0 * x)
-    assert annulus_integrate(u, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert tail_lambda(u, 1.0, 3.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_annulus_rejects_negative_radius():
     u = sample(GridSpec(1, 1.0, 5), lambda x: x)
     with pytest.raises(ValueError):
-        annulus_integrate(u, -0.5)
+        tail_lambda(u, -0.5, 3.0)
 
 
 def test_zero_boundary():

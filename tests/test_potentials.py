@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pschrod.asymptotic import tail_lambda
-from pschrod.grid import GridFunction, GridSpec, annulus_integrate, row_blocks
+from pschrod.grid import GridFunction, GridSpec, row_blocks
 from pschrod.potentials import (
     bad_set_measure,
     bad_set_measure_mc,
@@ -252,10 +252,9 @@ _TINY = GridSpec(1, 8.0, 3)
     [
         lambda R: bad_set_measure(sparse_wells(WELLS_GAMMA), _TINY, R),
         lambda R: bad_set_measure_mc(sparse_wells(WELLS_GAMMA), _TINY, R, seed=1),
-        lambda R: annulus_integrate(GridFunction(_TINY, np.ones(3)), R),
         lambda R: tail_lambda(GridFunction(_TINY, np.ones(3)), R, 3.0),
     ],
-    ids=["bad_set_measure", "bad_set_measure_mc", "annulus_integrate", "tail_lambda"],
+    ids=["bad_set_measure", "bad_set_measure_mc", "tail_lambda"],
 )
 def test_radius_must_be_nonnegative(measure, R):
     with pytest.raises(ValueError, match="radius must be nonnegative"):
