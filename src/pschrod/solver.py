@@ -197,17 +197,27 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
 class _HessianPattern:
     """The fixed sparsity of the interior Hessian on one grid, and how to fill it.
 
-    ``M[(a, b), (i, j)] = h^n G_a[i] G_b[j]`` is the cell block of
-    ``h^n G^T K G`` per unit entry ``K[a, b]`` of the cell weight, ``G_a[i]``
-    the coefficient of cell corner ``i`` in gradient component ``a`` (the
-    table :func:`~pschrod.grid.cell_stencil`, the same for every cell).
-    ``S`` is 0/1 and sums the entries of all cell blocks, laid out cell by
-    cell, into the CSR data of H (``indices``, ``indptr``); entries on a
-    boundary node are dropped.  ``diagonal`` holds the data position of
-    each diagonal entry.  Shared: do not mutate.
+    In the table :func:`~pschrod.grid.cell_stencil` every corner column is
+    ``c sigma_k`` with one magnitude ``c`` and a sign vector ``sigma_k``,
+    and a corner and its antipode have opposite signs.  So the corners fall
+    into ``2**(n-1)`` groups: ``signs[g]`` is the sign vector of group
+    ``g``'s first corner, the other one carries ``-signs[g]``.  With
+    ``y_g = signs[g] . G_c v`` the cell block of ``h^n G^T K G``, for
+    ``K = w1 I + w2 xi xi^T``, is ``+-scale (w1 overlap + w2 y_a y_b)``
+    on a pair of groups ``pairs[k] = (a, b)``, ``a <= b``, where
+    ``overlap[k] = signs[a] . signs[b]`` and ``scale = h^n c^2``, so
+    ``scale * overlap[k]`` is the constant ``h^n g_a . g_b`` of the pair.
+    ``S`` has entries +-1 and sums the ``(pairs, cells)`` array of these
+    values into the CSR data of H (``indices``, ``indptr``), one entry per
+    kept (cell, corner, corner) triple; entries on a boundary node are
+    dropped.  ``diagonal`` holds the data position of each diagonal entry.
+    Shared: do not mutate.
     """
 
-    M: np.ndarray
+    signs: np.ndarray
+    pairs: np.ndarray
+    overlap: np.ndarray
+    scale: float
     S: sp.csr_matrix
     indices: np.ndarray
     indptr: np.ndarray
@@ -223,9 +233,21 @@ def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     they are spent, so the peak stays at a few index arrays of that length.
     """
     base, offsets, coeffs = cell_stencil(spec)
-    corners = offsets.size
-    M = spec.h**spec.n * (coeffs[:, None, :, None] * coeffs[None, :, None, :])
-    M = M.reshape(spec.n**2, corners**2)
+    cells, corners = base.size, offsets.size
+    # group of each corner, led by the lower of it and its antipode (the
+    # corner with the opposite column), and the corner's sign in the group
+    sigma = np.sign(coeffs)
+    antipode = np.argmax(np.all(sigma[:, :, None] == -sigma[:, None, :], axis=0), axis=1)
+    lead = np.arange(corners) < antipode
+    group = np.cumsum(lead)[np.minimum(np.arange(corners), antipode)] - 1
+    corner_sign = np.where(lead, 1.0, -1.0)
+    signs = sigma[:, lead].T
+    a, b = np.triu_indices(signs.shape[0])
+    pair_index = np.empty((signs.shape[0],) * 2, dtype=np.int32)
+    pair_index[a, b] = pair_index[b, a] = np.arange(a.size)
+    # value (cell c, pair k) at column k * cells + c, with the sign of corners i and j
+    column = pair_index[group[:, None], group[None, :]].ravel() * cells
+    entry_sign = (corner_sign[:, None] * corner_sign[None, :]).ravel()
 
     interior = ~spec.boundary_mask()
     size = int(np.count_nonzero(interior))
@@ -234,8 +256,8 @@ def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     local = np.full(spec.num_nodes, -1, dtype=key_type)
     local[interior] = np.arange(size)
     corner = local[base[:, None] + offsets]  # interior index of each cell corner, or -1
-    blocks = corner.size * corners  # entry (i, j) of cell c is c * corners^2 + i * corners + j
     del base, local
+    # entry (i, j) of cell c is c * corners^2 + i * corners + j
     kept = np.flatnonzero(((corner[:, :, None] >= 0) & (corner[:, None, :] >= 0)).ravel())
     kept = kept.astype(np.int32)
     keys = (corner[:, :, None] * size + corner[:, None, :]).ravel()[kept]
@@ -251,12 +273,28 @@ def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     del keys, first
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    S = sp.csr_matrix(
-        (np.ones(kept.size), kept, np.append(starts, kept.size).astype(np.int32)),
-        shape=(starts.size, blocks),
+    diagonal = np.flatnonzero(rows == cols)
+    indices = cols.astype(np.int32, copy=False)
+    del rows, cols
+    entry_ptr = np.append(starts, kept.size).astype(np.int32)
+    del starts
+    block = kept & (corners * corners - 1)  # corners = 2^n: a mask and a shift
+    kept >>= 2 * spec.n  # now the cell of each entry
+    kept += column[block]
+    S = sp.csr_matrix((entry_sign[block], kept, entry_ptr), shape=(entry_ptr.size - 1, a.size * cells))
+    del block, kept
+    pattern = _HessianPattern(
+        signs=signs,
+        pairs=np.stack([a, b], axis=1),
+        overlap=np.sum(signs[a] * signs[b], axis=1),
+        scale=spec.h**spec.n * (coeffs[0, 0] * coeffs[0, 0]),
+        S=S,
+        indices=indices,
+        indptr=indptr,
+        diagonal=diagonal,
     )
-    pattern = _HessianPattern(M, S, cols.astype(np.int32), indptr, np.flatnonzero(rows == cols))
-    for arr in (M, S.data, S.indices, S.indptr, pattern.indices, indptr, pattern.diagonal):
+    for arr in (pattern.signs, pattern.pairs, pattern.overlap, S.data, S.indices,
+                S.indptr, pattern.indices, indptr, pattern.diagonal):
         arr.flags.writeable = False
     return pattern
 
@@ -267,8 +305,10 @@ def _hessian_interior(v: np.ndarray, prob: Problem) -> sp.csr_matrix:
     Regularized at gradient level ``prob.eps_reg``; at p = 2 every
     eps-dependent factor is raised to the power 0, so eps has no effect.
 
-    Filled into the cached pattern of the grid (:class:`_HessianPattern`):
-    every stored entry is kept, also one that sums to exactly zero.
+    Filled into the cached pattern of the grid (:class:`_HessianPattern`)
+    from one value per cell and pair of corner groups, by elementwise
+    products and one sparse matrix-vector product: no dense BLAS call.
+    Every stored entry is kept, also one that sums to exactly zero.
     """
     spec, p, eps = prob.spec, prob.p, prob.eps_reg
     pattern = _hessian_pattern(spec)
@@ -277,10 +317,23 @@ def _hessian_interior(v: np.ndarray, prob: Problem) -> sp.csr_matrix:
     w1 = s ** ((p - 2.0) / 2.0)
     # p = 2 has no second term; skipping it avoids 0 * inf where s = 0
     w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
-    cells = comps.T
-    K = (w2[:, None] * cells)[:, :, None] * cells[:, None, :]
-    K[:, range(spec.n), range(spec.n)] += w1[:, None]
-    data = pattern.S @ (K.reshape(s.size, -1) @ pattern.M).ravel()
+    # y[g] = signs[g] . xi per cell, by adds and subtracts of the components
+    y = np.empty((pattern.signs.shape[0], s.size))
+    for g, sign in enumerate(pattern.signs):
+        np.multiply(comps[0], sign[0], out=y[g])
+        for axis in range(1, spec.n):
+            if sign[axis] > 0:
+                y[g] += comps[axis]
+            else:
+                y[g] -= comps[axis]
+    w2y = w2 * y
+    values = np.empty((pattern.pairs.shape[0], s.size))
+    for k, (a, b) in enumerate(pattern.pairs):
+        np.multiply(w2y[a], y[b], out=values[k])
+        if pattern.overlap[k] != 0.0:
+            values[k] += pattern.overlap[k] * w1
+    values *= pattern.scale
+    data = pattern.S @ values.ravel()
     nodal_diag = (
         spec.weights()
         * prob.V.values
@@ -415,7 +468,10 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     factor of ten (at most a handful), so the returned iterate sits
     essentially on the minimizer.  When the iteration cap is hit first, the
     best iterate is returned with ``converged=False``; it is never a
-    silent success.  The start is ``u0`` (zeroed on the boundary; the
+    silent success.  A Newton matrix with a line block that is not
+    positive definite ends the iteration like an exhausted line search:
+    the current iterate is returned, converged only if its residual is
+    within tolerance.  The start is ``u0`` (zeroed on the boundary; the
     scheme passes the previous level's solution), else 0 for p = 2 and the
     p = 2 companion solution for p > 2.
 
@@ -472,7 +528,12 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         else:
             rtol = min(max(0.9 * (g_norm / g_norm_prev) ** 2, _CG_RTOL), _ETA_MAX)
         g_norm_prev = g_norm
-        d_int, cg_steps = _newton_solve(H, -g_int, spec.m, rtol)
+        try:
+            d_int, cg_steps = _newton_solve(H, -g_int, spec.m, rtol)
+        except np.linalg.LinAlgError:
+            # a line block of H that is not positive definite (its diagonal
+            # underflowed) leaves no step: stop as if the line search ran out
+            break
         linear_iterations.append(cg_steps)
         step = np.zeros_like(v)
         step[interior] = d_int

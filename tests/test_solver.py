@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from pschrod.grid import (
     GridFunction,
     GridSpec,
     cell_gradient_matrix,
+    cell_gradient_squared,
+    cell_stencil,
     integrate,
     sample,
     zero_boundary,
@@ -27,6 +30,7 @@ from pschrod.solver import (
     _energy_arrays,
     _gradient_arrays,
     _hessian_interior,
+    _hessian_pattern,
     _line_band,
     _line_preconditioner,
     _newton_solve,
@@ -301,6 +305,25 @@ def test_non_convergence_is_flagged():
     assert res.u.max_abs() > 0.0
 
 
+def test_continuation_in_p_stops_on_an_indefinite_line_block():
+    # each solve starts from the last; at p = 16 the nodal diagonal of the
+    # Hessian underflows to 0 on a grid line and that line block is singular
+    u, steps = None, []
+    for p in [2.0, 3.0, 4.0, 6.0, 8.0, 12.0]:
+        prob, _ = standard_problem_factory(p)
+        res = solve(prob, u0=u)
+        assert res.converged
+        steps.append(res.iterations)
+        u = res.u
+    assert steps == [2, 12, 10, 21, 16, 17]
+    prob, _ = standard_problem_factory(16.0)
+    res = solve(prob, u0=u)
+    assert not res.converged
+    assert res.iterations < prob.max_iters
+    assert res.residual_sup > prob.tol_residual
+    assert np.all(np.diff(res.energy_trace) <= 0.0)
+
+
 def test_boundary_values_exactly_zero():
     prob, _ = standard_problem_factory(3.0, m=129)
     res = solve(prob)
@@ -436,6 +459,77 @@ def test_hessian_pattern_keeps_entries_that_cancel():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_hessian_pattern_groups_antipodal_corners(n):
+    # corner k and its antipode 2^n - 1 - k have opposite stencil columns,
+    # so one value per pair of groups carries every corner pair of a cell
+    spec = GridSpec(n, 2.0, 5)
+    _, _, coeffs = cell_stencil(spec)
+    pattern = _hessian_pattern(spec)
+    groups = 2 ** (n - 1)
+    assert pattern.signs.shape == (groups, n)
+    assert len(pattern.pairs) == groups * (groups + 1) // 2
+    for k in range(2**n):
+        low = min(k, 2**n - 1 - k)
+        assert np.array_equal(coeffs[:, low], -coeffs[:, 2**n - 1 - low])
+    constants = pattern.scale * pattern.overlap
+    for k, (a, b) in enumerate(pattern.pairs):
+        ga, gb = coeffs[:, a], coeffs[:, b]  # the first corner of each group
+        assert np.array_equal(np.sign(ga), pattern.signs[a])
+        assert constants[k] == pytest.approx(spec.h**n * np.dot(ga, gb), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [3, 4, 17, 4097])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("flat", [True, False], ids=["eps0", "eps_reg"])
+def test_1d_hessian_bytes_match_outer_product_fill(m, p, flat, rng):
+    # the fill as S @ (K @ M): in 1D, K @ M is the outer product of the
+    # cell weight and the 2 x 2 cell block, and S adds, in cell order, the
+    # two blocks that meet on each diagonal entry
+    prob = _trap_problem(1, m, p)
+    spec, eps = prob.spec, prob.eps_reg
+    interior = ~spec.boundary_mask()
+    v = np.zeros(spec.num_nodes)
+    if not flat:
+        v[interior] = rng.standard_normal(m - 2)
+    comps, s = cell_gradient_squared(v, spec)
+    s += eps * eps
+    w1 = s ** ((p - 2.0) / 2.0)
+    w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
+    K = (w2 * comps[0]) * comps[0]
+    K += w1
+    g = cell_stencil(spec)[2][0]
+    M = spec.h * (g[:, None] * g[None, :])
+    KM = K[:, None, None] * M  # (cells, corner i, corner j)
+    diagonal = KM[:-1, 1, 1] + KM[1:, 0, 0]
+    diagonal += (spec.weights() * prob.V.values * (p - 1.0)
+                 * (v * v + eps * eps) ** ((p - 2.0) / 2.0))[interior]
+    tridiagonal = sp.diags(
+        [KM[1:-1, 1, 0], diagonal, KM[1:-1, 0, 1]], [-1, 0, 1], format="csr"
+    )
+    H = _hessian_interior(v, prob)
+    assert np.array_equal(H.indptr, tridiagonal.indptr)
+    assert np.array_equal(H.indices, tridiagonal.indices)
+    assert H.data.tobytes() == tridiagonal.data.tobytes()
+
+
+def test_hessian_fill_memory_on_cached_pattern(rng):
+    # the (cells, corners^2) block array of a fill by S @ (K @ M) alone takes
+    # 16 MiB here; grouped corner values take 10 values per cell instead of 64
+    prob = _trap_problem(3, 33, 3.0)
+    interior = ~prob.spec.boundary_mask()
+    v = np.zeros(prob.spec.num_nodes)
+    v[interior] = rng.standard_normal(int(np.sum(interior)))
+    _hessian_interior(v, prob)
+    tracemalloc.start()
+    try:
+        _hessian_interior(v, prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("m", [4, 17])
 def test_line_preconditioner_matches_banded_cholesky(n, m, rng):
     prob = _trap_problem(n, m, 3.0)
@@ -494,7 +588,7 @@ def test_solve_2d_m129_p4_inexact_newton_keeps_the_energy():
     assert res.converged
     assert res.iterations == 16
     assert res.energy == pytest.approx(-23.823046859438648, rel=1e-12)
-    assert sum(res.linear_iterations) == 837
+    assert sum(res.linear_iterations) == 839
 
 
 def test_solve_3d_p2_solves_every_system_exactly():
