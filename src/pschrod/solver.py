@@ -353,31 +353,51 @@ def _hessian_interior(v: np.ndarray, prob: Problem) -> sp.csr_matrix:
 # polish steps; also the floor of the forcing terms
 _CG_RTOL = 1e-10
 _ETA_MAX = 1e-4  # forcing term of the first Newton step and cap of every later one
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double, 2^-1022
 
 
-def _line_band(H: sp.csr_matrix, m: int) -> np.ndarray:
+def _flush_subnormals(x: np.ndarray) -> None:
+    """Set every entry of x below the smallest normal double (2^-1022) in magnitude to 0.
+
+    On x86 each arithmetic operation that reads or writes a subnormal takes
+    a microcode assist, many times slower than on normal numbers, and
+    solutions over sparse wells decay into that range.  Values this small
+    enter no energy, residual or report above rounding.
+    """
+    np.copyto(x, 0.0, where=np.abs(x) < _TINY)
+
+
+def _line_band(H: sp.csr_matrix, spec: GridSpec) -> np.ndarray:
     """H restricted to the grid lines along the last axis, in upper banded form.
 
     Interior nodes are numbered with the last axis fastest, so each line is
     a run of ``m - 2`` consecutive unknowns.  The stencil couples only nodes
     that share a cell, so H on one line is tridiagonal; the superdiagonal
     entry that would couple the last node of a line to the first of the
-    next is zeroed, which leaves exactly the line blocks.
+    next is zero, which leaves exactly the line blocks.
+
+    H must be filled into the pattern of ``spec`` (:func:`_hessian_interior`):
+    the band is read from ``H.data`` at the pattern's diagonal positions.
+    The columns of a CSR row are sorted and neighbours on a line share a
+    cell, so where node ``i + 1`` is on the line of node ``i`` the entry
+    right after ``(i, i)`` in the data is ``(i, i + 1)``.
     """
+    diagonal = _hessian_pattern(spec).diagonal.reshape(-1, spec.m - 2)
     band = np.zeros((2, H.shape[0]))
-    band[1] = H.diagonal()
-    band[0, 1:] = H.diagonal(1)
-    band[0, ::m - 2] = 0.0
+    band[1] = H.data[diagonal.ravel()]
+    band[0].reshape(diagonal.shape)[:, 1:] = H.data[1:][diagonal[:, :-1]]
     return band
 
 
-def _line_preconditioner(H: sp.csr_matrix, m: int):
+def _line_preconditioner(H: sp.csr_matrix, spec: GridSpec):
     """Exact solve with the line blocks of H (:func:`_line_band`), as ``r -> x``.
 
     The blocks are tridiagonal principal submatrices of H, hence SPD; they
-    are factored once as ``L D L^T`` by LAPACK ``dpttrf``.
+    are factored once as ``L D L^T`` by LAPACK ``dpttrf``.  Subnormal
+    entries of each solution are flushed to 0 (:func:`_flush_subnormals`)
+    before CG multiplies with it.
     """
-    band = _line_band(H, m)
+    band = _line_band(H, spec)
     # the last max(size - 1, 1) entries: the superdiagonal, or for one unknown
     # the zero band[0, 0], since LAPACK wants an (unread) entry there too
     e = band[0, 1 - band.shape[1]:]
@@ -386,11 +406,17 @@ def _line_preconditioner(H: sp.csr_matrix, m: int):
         raise np.linalg.LinAlgError(
             f"line block of the Newton matrix is not positive definite (dpttrf info {info})"
         )
-    return lambda r: dpttrs(d, e, r)[0]
+
+    def precondition(r):
+        x = dpttrs(d, e, r)[0]
+        _flush_subnormals(x)
+        return x
+
+    return precondition
 
 
 def _newton_solve(
-    H: sp.csr_matrix, rhs: np.ndarray, m: int, rtol: float
+    H: sp.csr_matrix, rhs: np.ndarray, spec: GridSpec, rtol: float
 ) -> tuple[np.ndarray, int]:
     """Solve the SPD system ``H x = rhs`` on interior nodes; return x and the CG count.
 
@@ -402,7 +428,7 @@ def _newton_solve(
     loose ``rtol`` still gives a step the line search accepts.
     """
     precondition = spla.LinearOperator(
-        H.shape, matvec=_line_preconditioner(H, m), dtype=np.float64
+        H.shape, matvec=_line_preconditioner(H, spec), dtype=np.float64
     )
     count = 0
 
@@ -450,7 +476,7 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
     v0 = np.zeros(spec.num_nodes)
     H = _hessian_interior(v0, replace(prob, p=2.0))
     rhs = (spec.weights() * prob.f.values)[interior]
-    v0[interior], _ = _newton_solve(H, rhs, spec.m, _CG_RTOL)
+    v0[interior], _ = _newton_solve(H, rhs, spec, _CG_RTOL)
     return v0
 
 
@@ -473,7 +499,9 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     the current iterate is returned, converged only if its residual is
     within tolerance.  The start is ``u0`` (zeroed on the boundary; the
     scheme passes the previous level's solution), else 0 for p = 2 and the
-    p = 2 companion solution for p > 2.
+    p = 2 companion solution for p > 2.  The iterate holds no subnormal
+    number: entries below 2^-1022 in magnitude are set to 0 in the start
+    and after every step (:func:`_flush_subnormals`).
 
     For p > 2 each Newton system is solved inexactly, to the relative
     residual of an Eisenstat-Walker forcing term (choice 2, gamma = 0.9,
@@ -494,6 +522,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         v = np.zeros(spec.num_nodes)
     else:
         v = _linear_warm_start(prob)
+    _flush_subnormals(v)
 
     trace = [_energy_arrays(v, prob)]
     iterations = 0
@@ -529,7 +558,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
             rtol = min(max(0.9 * (g_norm / g_norm_prev) ** 2, _CG_RTOL), _ETA_MAX)
         g_norm_prev = g_norm
         try:
-            d_int, cg_steps = _newton_solve(H, -g_int, spec.m, rtol)
+            d_int, cg_steps = _newton_solve(H, -g_int, spec, rtol)
         except np.linalg.LinAlgError:
             # a line block of H that is not positive definite (its diagonal
             # underflowed) leaves no step: stop as if the line search ran out
@@ -558,6 +587,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
             # convex J and a descent direction: only round-off can land here
             break
         v = v + s * step
+        _flush_subnormals(v)
         trace.append(min(J_new, J0))
         iterations += 1
 

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from pschrod.asymptotic import ExponentP, lambda_fnorm_rows, lp_norm, tail_lambda, x_norm_p
 from pschrod.grid import (
@@ -18,10 +19,12 @@ from pschrod.grid import (
     sample,
     zero_boundary,
 )
+from pschrod.potentials import sample_potential, sparse_wells
 from pschrod.presets import (
     manufactured_p2_datum,
     manufactured_p2_solution,
     standard_problem_factory,
+    two_bump_datum,
 )
 from pschrod import solver
 from pschrod.solver import (
@@ -367,7 +370,7 @@ def test_newton_solve_matches_direct_solve(n, m, p, rng):
         v[~spec.boundary_mask()] = rng.standard_normal(int(np.sum(~spec.boundary_mask())))
     H = _hessian_interior(v, prob)
     rhs = rng.standard_normal(H.shape[0])
-    x, count = _newton_solve(H, rhs, m, 1e-10)
+    x, count = _newton_solve(H, rhs, spec, 1e-10)
     exact = spla.spsolve(H.tocsc(), rhs)
     assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
     if n == 1:
@@ -384,7 +387,7 @@ def test_line_band_is_the_line_blocks_of_the_hessian(n, rng):
     v = np.zeros(prob.spec.num_nodes)
     v[interior] = rng.standard_normal(int(np.sum(interior)))
     H = _hessian_interior(v, prob)
-    band = _line_band(H, m)
+    band = _line_band(H, prob.spec)
     dense = H.toarray()
     line = np.arange(dense.shape[0]) // (m - 2)
     breaks = line[1:] != line[:-1]
@@ -393,6 +396,21 @@ def test_line_band_is_the_line_blocks_of_the_hessian(n, rng):
     assert np.array_equal(band[1], dense.diagonal())
     assert np.array_equal(band[0, 1:], np.where(breaks, 0.0, upper))
     assert band[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 4, 5, 17])
+def test_line_band_reads_the_diagonals_of_the_hessian(n, m, rng):
+    prob = _trap_problem(n, m, 3.0)
+    interior = ~prob.spec.boundary_mask()
+    v = np.zeros(prob.spec.num_nodes)
+    v[interior] = rng.standard_normal(int(np.sum(interior)))
+    H = _hessian_interior(v, prob)
+    expected = np.zeros((2, H.shape[0]))
+    expected[1] = H.diagonal()
+    expected[0, 1:] = H.diagonal(1)
+    expected[0, ::m - 2] = 0.0
+    assert _line_band(H, prob.spec).tobytes() == expected.tobytes()
 
 
 def _spgemm_hessian(v, prob):
@@ -538,16 +556,18 @@ def test_line_preconditioner_matches_banded_cholesky(n, m, rng):
     v[interior] = rng.standard_normal(int(np.sum(interior)))
     H = _hessian_interior(v, prob)
     r = rng.standard_normal(H.shape[0])
-    x = _line_preconditioner(H, m)(r)
-    exact = cho_solve_banded((cholesky_banded(_line_band(H, m)), False), r)
+    x = _line_preconditioner(H, prob.spec)(r)
+    exact = cho_solve_banded((cholesky_banded(_line_band(H, prob.spec)), False), r)
     assert x.shape == r.shape
     assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_line_preconditioner_rejects_indefinite_line_block():
-    H = sp.diags([2.0, 2.0, -1.0, 2.0], format="csr")
+    prob = _trap_problem(2, 4, 2.0)
+    H = _hessian_interior(np.zeros(prob.spec.num_nodes), prob)
+    H.data[_hessian_pattern(prob.spec).diagonal[2]] = -1.0
     with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        _line_preconditioner(H, 4)
+        _line_preconditioner(H, prob.spec)
 
 
 def test_1d_newton_steps_take_one_cg_iteration():
@@ -606,9 +626,9 @@ def test_newton_systems_use_eisenstat_walker_forcing_terms(p, monkeypatch):
     w = prob.spec.weights()[~prob.spec.boundary_mask()]
     calls = []  # (|rhs|_2, residual sup-norm, rtol) of every linear solve
 
-    def recording(H, rhs, m, rtol):
+    def recording(H, rhs, spec, rtol):
         calls.append((np.linalg.norm(rhs), np.max(np.abs(rhs / w)), rtol))
-        return _newton_solve(H, rhs, m, rtol)
+        return _newton_solve(H, rhs, spec, rtol)
 
     monkeypatch.setattr(solver, "_newton_solve", recording)
     res = solve(prob)
@@ -681,3 +701,50 @@ def test_grid_powers_bit_identical_on_underflowing_tail(n, m, p):
     rows = np.stack([v, 1e3 * v, 1e-3 * v])
     expected = (np.minimum(np.abs(rows), 1.0) ** p @ w) ** (1.0 / p)
     assert lambda_fnorm_rows(rows, w, p).tobytes() == expected.tobytes()
+
+
+def _subnormal_count(x):
+    return int(np.count_nonzero((x != 0.0) & (np.abs(x) < np.finfo(np.float64).tiny)))
+
+
+@pytest.fixture(scope="module")
+def wells_tail_solve():
+    """The 1D sparse-wells problem whose solution decays below the double range."""
+    spec = GridSpec(1, 40.0, 4097)
+    prob = Problem(spec=spec, p=3.0, V=sample_potential(sparse_wells(2.0), spec),
+                   f=two_bump_datum(spec))
+    return prob, solve(prob)
+
+
+def test_solve_keeps_subnormals_out_of_the_iterate(wells_tail_solve):
+    prob, res = wells_tail_solve
+    u = res.u.values
+    assert res.converged
+    assert _subnormal_count(u) == 0
+    # the tail underflows: before the flush 98 of these 213 zeros were subnormal
+    assert np.count_nonzero(u[~prob.spec.boundary_mask()] == 0.0) == 213
+    # the values of the solve without the flush, bit for bit
+    assert res.iterations == 14
+    assert res.linear_iterations == (1,) * 14
+    assert res.residual_sup == 1.1368683772161603e-12
+    assert [x.hex() for x in res.energy_trace] == [
+        "-0x1.808e1a9ad0a41p+2", "-0x1.98ecf9ea95645p+2", "-0x1.b0fa2d569c338p+2",
+        "-0x1.b200d23af069ap+2", "-0x1.b20cd0ac9be64p+2", "-0x1.b20d89266f7aep+2",
+        "-0x1.b20d9bdaeaa9ap+2", "-0x1.b20d9eb183432p+2", "-0x1.b20d9eda61ffbp+2",
+        "-0x1.b20d9edbb464fp+2", "-0x1.b20d9edbc3eeap+2", "-0x1.b20d9edbc5b40p+2",
+        "-0x1.b20d9edbc5b52p+2", "-0x1.b20d9edbc5b53p+2", "-0x1.b20d9edbc5b53p+2",
+    ]
+
+
+def test_line_preconditioner_output_has_no_subnormals(wells_tail_solve):
+    prob, res = wells_tail_solve
+    spec = prob.spec
+    H = _hessian_interior(res.u.values, prob)
+    r = -_gradient_arrays(res.u.values, prob)[~spec.boundary_mask()]
+    z = _line_preconditioner(H, spec)(r)
+    assert _subnormal_count(z) == 0
+    # the LAPACK solve alone leaves subnormals, and z is it with them set to 0
+    d, e, _ = dpttrf(H.diagonal(), H.diagonal(1))
+    raw = dpttrs(d, e, r)[0]
+    assert _subnormal_count(raw) > 0
+    assert np.array_equal(z, np.where(np.abs(raw) < np.finfo(np.float64).tiny, 0.0, raw))
