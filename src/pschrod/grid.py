@@ -63,7 +63,7 @@ class GridSpec:
     n : int
         Spatial dimension, 1 <= n <= 3.
     L : float
-        Half-width of the box, > 0.
+        Half-width of the box, > 0 and small enough that ``2 L`` is finite.
     m : int
         Nodes per axis, >= 3.  The spacing is ``h = 2 L / (m - 1)``.
 
@@ -82,8 +82,8 @@ class GridSpec:
             raise ValueError(f"n, L and m must be numbers, not booleans: {self!r}")
         if not isinstance(self.n, int) or not 1 <= self.n <= 3:
             raise ValueError(f"dimension n must be an integer in [1, 3], got {self.n!r}")
-        if not self.L > 0:
-            raise ValueError(f"half-width L must be positive, got {self.L!r}")
+        if not 0 < self.L <= np.finfo(np.float64).max / 2:
+            raise ValueError(f"half-width L must be positive with a finite spacing, got {self.L!r}")
         if not isinstance(self.m, int) or self.m < 3:
             raise ValueError(f"points-per-axis m must be an integer >= 3, got {self.m!r}")
         if self.m**self.n > _MAX_NODES:

@@ -30,6 +30,7 @@ unregularized operator.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -197,28 +198,35 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
 class _HessianPattern:
     """The fixed sparsity of the interior Hessian on one grid, and how to fill it.
 
-    In the table :func:`~pschrod.grid.cell_stencil` every corner column is
-    ``c sigma_k`` with one magnitude ``c`` and a sign vector ``sigma_k``,
-    and a corner and its antipode have opposite signs.  So the corners fall
-    into ``2**(n-1)`` groups: ``signs[g]`` is the sign vector of group
-    ``g``'s first corner, the other one carries ``-signs[g]``.  With
-    ``y_g = signs[g] . G_c v`` the cell block of ``h^n G^T K G``, for
-    ``K = w1 I + w2 xi xi^T``, is ``+-scale (w1 overlap + w2 y_a y_b)``
-    on a pair of groups ``pairs[k] = (a, b)``, ``a <= b``, where
-    ``overlap[k] = signs[a] . signs[b]`` and ``scale = h^n c^2``, so
-    ``scale * overlap[k]`` is the constant ``h^n g_a . g_b`` of the pair.
-    ``S`` has entries +-1 and sums the ``(pairs, cells)`` array of these
-    values into the CSR data of H (``indices``, ``indptr``), one entry per
-    kept (cell, corner, corner) triple; entries on a boundary node are
-    dropped.  ``diagonal`` holds the data position of each diagonal entry.
-    Shared: do not mutate.
+    In the table :func:`~pschrod.grid.cell_stencil` corner ``k`` has the
+    column ``c sigma_k``, ``sigma_k`` the signs of its steps, and its
+    antipode ``2**n - 1 - k`` the column ``-c sigma_k``.  So group
+    ``g < 2**(n-1)`` holds corner ``g``, of signs ``signs[g]``, and its
+    antipode.  With ``y_g = signs[g] . G_c v`` the cell block of
+    ``h^n G^T K G``, for ``K = w1 I + w2 xi xi^T``, is
+    ``+-scale (w1 overlap + w2 y_a y_b)`` on a pair of groups
+    ``pairs[k] = (a, b)``, ``a <= b``, where ``overlap[k] = signs[a] . signs[b]``
+    and ``scale = h^n c^2``, so ``scale * overlap[k]`` is ``h^n g_a . g_b``.
+
+    H is filled by stencil offset ``d`` from the centre on: array ``o`` of
+    ``coef``, ``o`` the row-major index of ``d`` in ``{-1, 0, 1}^n`` less
+    the centre's, holds entry ``(r, r + d)`` at interior node ``r``.  Each
+    of ``adds``, ``(o, cells, k, op)`` for a corner pair ``i <= j`` with
+    ``d = step_j - step_i``, applies ``op`` (``np.add`` or ``np.subtract``,
+    the sign of the pair) with the values of pair ``k`` on the cells whose
+    corner ``i`` is interior to array ``o``.  ``positions`` reads the CSR
+    data of H (``indices``, ``indptr``) out of ``coef``: H is symmetric, so
+    an entry at ``-d`` is read from array ``d`` at its column.
+    ``diagonal`` holds the data position of each diagonal entry.  Shared:
+    do not mutate.
     """
 
     signs: np.ndarray
     pairs: np.ndarray
     overlap: np.ndarray
     scale: float
-    S: sp.csr_matrix
+    adds: tuple[tuple[int, tuple[slice, ...], int, np.ufunc], ...]
+    positions: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray
@@ -228,73 +236,60 @@ class _HessianPattern:
 def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     """The :class:`_HessianPattern` of ``spec``, built once per grid and cached.
 
-    The CSR structure comes from one stable argsort of the (row, col) keys
-    of all kept cell-block entries.  Temporaries are released as soon as
-    they are spent, so the peak stays at a few index arrays of that length.
+    The adds run in decreasing order of corner ``i``; the cell with node
+    ``r`` at corner ``i`` is ``r - step_i``, so each entry sums its cells
+    in increasing order.  The CSR structure takes two passes over the
+    offsets, each on the box of interior nodes with an interior neighbour.
     """
-    base, offsets, coeffs = cell_stencil(spec)
-    cells, corners = base.size, offsets.size
-    # group of each corner, led by the lower of it and its antipode (the
-    # corner with the opposite column), and the corner's sign in the group
-    sigma = np.sign(coeffs)
-    antipode = np.argmax(np.all(sigma[:, :, None] == -sigma[:, None, :], axis=0), axis=1)
-    lead = np.arange(corners) < antipode
-    group = np.cumsum(lead)[np.minimum(np.arange(corners), antipode)] - 1
-    corner_sign = np.where(lead, 1.0, -1.0)
-    signs = sigma[:, lead].T
-    a, b = np.triu_indices(signs.shape[0])
-    pair_index = np.empty((signs.shape[0],) * 2, dtype=np.int32)
+    n, m = spec.n, spec.m
+    coeffs = cell_stencil(spec)[2]
+    corners = coeffs.shape[1]
+    half = corners // 2
+    steps = (coeffs > 0).astype(int)
+    group = np.minimum(np.arange(corners), corners - 1 - np.arange(corners))
+    signs = np.sign(coeffs[:, :half]).T
+    a, b = np.triu_indices(half)
+    pair_index = np.empty((half, half), dtype=int)
     pair_index[a, b] = pair_index[b, a] = np.arange(a.size)
-    # value (cell c, pair k) at column k * cells + c, with the sign of corners i and j
-    column = pair_index[group[:, None], group[None, :]].ravel() * cells
-    entry_sign = (corner_sign[:, None] * corner_sign[None, :]).ravel()
+    # corners are in increasing node order: d = step_j - step_i is from the centre on iff i <= j
+    power = 3 ** np.arange(n - 1, -1, -1)
+    adds = []
+    for i in reversed(range(corners)):
+        cells = tuple(slice(1 - e, m - 1 - e) for e in steps[:, i])
+        for j in range(i, corners):
+            op = np.add if (i < half) == (j < half) else np.subtract
+            adds.append((int((steps[:, j] - steps[:, i]) @ power), cells,
+                         int(pair_index[group[i], group[j]]), op))
 
-    interior = ~spec.boundary_mask()
-    size = int(np.count_nonzero(interior))
-    # the keys row * size + col in int32 while they fit: half the transient memory
-    key_type = np.int32 if size * size <= np.iinfo(np.int32).max else np.int64
-    local = np.full(spec.num_nodes, -1, dtype=key_type)
-    local[interior] = np.arange(size)
-    corner = local[base[:, None] + offsets]  # interior index of each cell corner, or -1
-    del base, local
-    # entry (i, j) of cell c is c * corners^2 + i * corners + j
-    kept = np.flatnonzero(((corner[:, :, None] >= 0) & (corner[:, None, :] >= 0)).ravel())
-    kept = kept.astype(np.int32)
-    keys = (corner[:, :, None] * size + corner[:, None, :]).ravel()[kept]
-    del corner
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    kept = kept[order]
-    del order
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    rows, cols = np.divmod(keys[starts], size)
-    del keys, first
+    size = (m - 2) ** n
+    node = np.arange(size).reshape((m - 2,) * n)
+    stride = (m - 2) ** np.arange(n - 1, -1, -1)
+    # per offset d in row-major order, the interior nodes whose neighbour r + d is interior
+    boxes = [(np.array(d), tuple(slice(max(0, -e), m - 2 - max(0, e)) for e in d))
+             for d in itertools.product((-1, 0, 1), repeat=n)]
+    slot = np.zeros(node.shape, dtype=np.int32)
+    for _, box in boxes:
+        slot[box] += 1
     indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    diagonal = np.flatnonzero(rows == cols)
-    indices = cols.astype(np.int32, copy=False)
-    del rows, cols
-    entry_ptr = np.append(starts, kept.size).astype(np.int32)
-    del starts
-    block = kept & (corners * corners - 1)  # corners = 2^n: a mask and a shift
-    kept >>= 2 * spec.n  # now the cell of each entry
-    kept += column[block]
-    S = sp.csr_matrix((entry_sign[block], kept, entry_ptr), shape=(entry_ptr.size - 1, a.size * cells))
-    del block, kept
+    np.cumsum(slot, out=indptr[1:])
+    slot = indptr[:-1].reshape(node.shape).copy()  # the next data position of each row
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    positions = np.empty(indptr[-1], dtype=np.intp)  # the index type a gather reads uncast
+    for d, box in boxes:
+        at = slot[box].copy()
+        row, o = node[box], int(d @ power)
+        col = row + int(d @ stride)
+        indices[at] = col
+        positions[at] = abs(o) * size + (row if o >= 0 else col)
+        if o == 0:
+            diagonal = at.ravel()
+        slot[box] += 1
     pattern = _HessianPattern(
-        signs=signs,
-        pairs=np.stack([a, b], axis=1),
-        overlap=np.sum(signs[a] * signs[b], axis=1),
-        scale=spec.h**spec.n * (coeffs[0, 0] * coeffs[0, 0]),
-        S=S,
-        indices=indices,
-        indptr=indptr,
-        diagonal=diagonal,
+        signs=signs, pairs=np.stack([a, b], axis=1), overlap=np.sum(signs[a] * signs[b], axis=1),
+        scale=spec.h**n * (coeffs[0, 0] * coeffs[0, 0]), adds=tuple(adds), positions=positions,
+        indices=indices, indptr=indptr, diagonal=diagonal,
     )
-    for arr in (pattern.signs, pattern.pairs, pattern.overlap, S.data, S.indices,
-                S.indptr, pattern.indices, indptr, pattern.diagonal):
+    for arr in (signs, pattern.pairs, pattern.overlap, positions, indices, indptr, diagonal):
         arr.flags.writeable = False
     return pattern
 
@@ -307,8 +302,9 @@ def _hessian_interior(v: np.ndarray, prob: Problem) -> sp.csr_matrix:
 
     Filled into the cached pattern of the grid (:class:`_HessianPattern`)
     from one value per cell and pair of corner groups, by elementwise
-    products and one sparse matrix-vector product: no dense BLAS call.
-    Every stored entry is kept, also one that sums to exactly zero.
+    products, one strided slab add per corner pair and stencil offset, and
+    one gather: no dense BLAS call.  Every stored entry is kept, also one
+    that sums to exactly zero.
     """
     spec, p, eps = prob.spec, prob.p, prob.eps_reg
     pattern = _hessian_pattern(spec)
@@ -327,21 +323,24 @@ def _hessian_interior(v: np.ndarray, prob: Problem) -> sp.csr_matrix:
             else:
                 y[g] -= comps[axis]
     w2y = w2 * y
-    values = np.empty((pattern.pairs.shape[0], s.size))
+    del comps, s, w2
+    values = np.empty((pattern.pairs.shape[0], y.shape[1]))
     for k, (a, b) in enumerate(pattern.pairs):
         np.multiply(w2y[a], y[b], out=values[k])
         if pattern.overlap[k] != 0.0:
             values[k] += pattern.overlap[k] * w1
+    del w1, w2y, y
     values *= pattern.scale
-    data = pattern.S @ values.ravel()
-    nodal_diag = (
-        spec.weights()
-        * prob.V.values
-        * (p - 1.0)
-        * (v * v + eps * eps) ** ((p - 2.0) / 2.0)
-    )
-    data[pattern.diagonal] += nodal_diag[~spec.boundary_mask()]
+    values = values.reshape((-1,) + (spec.m - 1,) * spec.n)
     size = pattern.indptr.size - 1
+    coef = np.zeros(((3**spec.n + 1) // 2, size))
+    slabs = coef.reshape((-1,) + (spec.m - 2,) * spec.n)
+    for o, cells, k, op in pattern.adds:
+        op(slabs[o], values[k][cells], out=slabs[o])
+    del values
+    nodal = spec.weights() * prob.V.values * (p - 1.0) * (v * v + eps * eps) ** ((p - 2.0) / 2.0)
+    coef[0] += nodal[~spec.boundary_mask()]
+    data = coef.ravel()[pattern.positions]
     return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
 
 

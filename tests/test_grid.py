@@ -31,6 +31,11 @@ def test_spec_validation():
         GridSpec(n=4, L=1.0, m=5)
     with pytest.raises(ValueError):
         GridSpec(n=1, L=0.0, m=5)
+    # the spacing 2 L / (m - 1) must be finite: inf, and 2 L overflowing
+    with pytest.raises(ValueError, match="half-width"):
+        GridSpec(n=1, L=float("inf"), m=5)
+    with pytest.raises(ValueError, match="half-width"):
+        GridSpec(n=1, L=1e308, m=3)
     with pytest.raises(ValueError):
         GridSpec(n=1, L=1.0, m=2)
 

@@ -453,7 +453,9 @@ def test_hessian_matches_sparse_product_assembly(n, m, p, flat, rng):
 
 
 def test_hessian_matches_sparse_product_assembly_past_int32_keys(rng):
-    # 217^2 interior nodes: the (row, col) sort keys no longer fit in int32
+    # the one large grid checked against the sparse products: with 217^2
+    # interior nodes a flat (row, col) index no longer fits in int32, so the
+    # pattern must index its entries some other way
     prob = _trap_problem(2, 219, 3.0)
     interior = ~prob.spec.boundary_mask()
     assert np.sum(interior) ** 2 > np.iinfo(np.int32).max
@@ -500,9 +502,9 @@ def test_hessian_pattern_groups_antipodal_corners(n):
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
 @pytest.mark.parametrize("flat", [True, False], ids=["eps0", "eps_reg"])
 def test_1d_hessian_bytes_match_outer_product_fill(m, p, flat, rng):
-    # the fill as S @ (K @ M): in 1D, K @ M is the outer product of the
-    # cell weight and the 2 x 2 cell block, and S adds, in cell order, the
-    # two blocks that meet on each diagonal entry
+    # in 1D the cell block is the outer product of the cell weight K and the
+    # 2 x 2 block M, and each diagonal entry adds the two blocks that meet on
+    # it in cell order
     prob = _trap_problem(1, m, p)
     spec, eps = prob.spec, prob.eps_reg
     interior = ~spec.boundary_mask()
@@ -530,9 +532,83 @@ def test_1d_hessian_bytes_match_outer_product_fill(m, p, flat, rng):
     assert H.data.tobytes() == tridiagonal.data.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("flat", [True, False], ids=["eps0", "eps_reg"])
+def test_nd_hessian_bytes_match_cell_order_fill(n, m, p, flat, rng):
+    # each cell's 2^n x 2^n block, from the same products the fill takes,
+    # added into H in increasing cell order, then the nodal diagonal: the
+    # summation order that keeps nD artifacts byte-identical
+    prob = _trap_problem(n, m, p)
+    spec, eps = prob.spec, prob.eps_reg
+    interior = ~spec.boundary_mask()
+    size = int(np.sum(interior))
+    v = np.zeros(spec.num_nodes)
+    if not flat:
+        v[interior] = rng.standard_normal(size)
+    comps, s = cell_gradient_squared(v, spec)
+    s += eps * eps
+    w1 = s ** ((p - 2.0) / 2.0)
+    w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
+    base, offsets, coeffs = cell_stencil(spec)
+    corners = offsets.size
+    sigma = np.sign(coeffs)  # every column is c sigma_k, one magnitude c
+    y = np.empty((corners, s.size))  # sigma_k . xi, components added in axis order
+    for k in range(corners):
+        y[k] = sigma[0, k] * comps[0]
+        for axis in range(1, n):
+            y[k] += sigma[axis, k] * comps[axis]
+    # corner k and its antipode share a group; the lower group's value comes first
+    group = np.minimum(np.arange(corners), corners - 1 - np.arange(corners))
+    scale = spec.h**n * (coeffs[0, 0] * coeffs[0, 0])
+    block = np.empty((s.size, corners, corners))
+    for i in range(corners):
+        for j in range(corners):
+            lo, hi = (i, j) if group[i] <= group[j] else (j, i)
+            value = (w2 * y[lo]) * y[hi]
+            overlap = sigma[:, i] @ sigma[:, j]
+            if overlap != 0.0:
+                value += overlap * w1
+            block[:, i, j] = value * scale
+    local = np.full(spec.num_nodes, -1)
+    local[interior] = np.arange(size)
+    reference = np.zeros((size, size))
+    stored = np.zeros((size, size), dtype=bool)
+    for c in range(base.size):
+        nodes = local[base[c] + offsets]
+        keep = nodes >= 0
+        entries = np.ix_(nodes[keep], nodes[keep])
+        reference[entries] += block[c][np.ix_(keep, keep)]
+        stored[entries] = True
+    reference[np.diag_indices(size)] += (spec.weights() * prob.V.values * (p - 1.0)
+                                         * (v * v + eps * eps) ** ((p - 2.0) / 2.0))[interior]
+    H = _hessian_interior(v, prob)
+    assert H.has_canonical_format
+    rows = np.repeat(np.arange(size), np.diff(H.indptr))
+    assert np.array_equal(sp.coo_matrix((np.ones(H.nnz), (rows, H.indices)),
+                                        shape=H.shape).toarray() == 1.0, stored)
+    assert H.data.tobytes() == reference[rows, H.indices].tobytes()
+
+
+def test_hessian_pattern_memory_on_3d_grid():
+    # per stored entry a column (4 bytes) and a position in the offset
+    # arrays (8 bytes): 8.9 MiB here
+    spec = GridSpec(3, 2.0, 33)
+    cell_stencil(spec)
+    tracemalloc.start()
+    try:
+        pattern = _hessian_pattern.__wrapped__(spec)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pattern.indices.size > 7 * 10**5
+    assert held <= 12 * 2**20
+
+
 def test_hessian_fill_memory_on_cached_pattern(rng):
-    # the (cells, corners^2) block array of a fill by S @ (K @ M) alone takes
-    # 16 MiB here; grouped corner values take 10 values per cell instead of 64
+    # a fill holds the (pairs, cells) group values with the offset arrays,
+    # then the offset arrays with the CSR data: 9.2 MiB here
     prob = _trap_problem(3, 33, 3.0)
     interior = ~prob.spec.boundary_mask()
     v = np.zeros(prob.spec.num_nodes)
@@ -544,7 +620,7 @@ def test_hessian_fill_memory_on_cached_pattern(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 15 * 2**20
+    assert peak <= 11 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
