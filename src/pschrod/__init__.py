@@ -38,7 +38,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     abs_power,
-    cell_gradient_matrix,
+    cell_gradient_adjoint,
     cell_gradient_squared,
     energy_sums,
     gradient,

@@ -8,10 +8,9 @@ sums, so all quadrature weights are positive and one-sided inequality
 checks stay one-sided.  Annulus integrals mask whole nodes (no cell clipping); the
 induced O(h) geometric error is absorbed by report tolerances downstream.
 The cell-centred gradient is defined once, by the stencil table
-:func:`cell_stencil`: the sparse matrix G (:func:`cell_gradient_matrix`),
-its CSR transpose (:func:`cell_gradient_transpose`) and the solver's
-Hessian pattern are all built from it.  The solver's energy and the energy
-norm share one pair of sums over it, :func:`energy_sums`.
+:func:`cell_stencil`; G v (:func:`cell_gradient_squared`), G^T w
+(:func:`cell_gradient_adjoint`) and the solver's Hessian fill read it, no
+matrix of G is stored, and :func:`energy_sums` gives the X-norm sums.
 Positive powers of grid data go through :func:`abs_power`, which keeps
 libm off its slow underflow path on decaying solutions.
 
@@ -29,7 +28,6 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "GridSpec",
@@ -37,9 +35,8 @@ __all__ = [
     "sample",
     "gradient",
     "cell_stencil",
-    "cell_gradient_matrix",
-    "cell_gradient_transpose",
     "cell_gradient_squared",
+    "cell_gradient_adjoint",
     "energy_sums",
     "abs_power",
     "row_blocks",
@@ -271,67 +268,69 @@ def gradient(u: GridFunction) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def cell_stencil(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cell gradient as one table: ``(base, offsets, coeffs)``.
+def cell_stencil(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The cell gradient as one table: ``(steps, coeffs)``.
 
-    ``base[c]`` is the lowest corner node of cell ``c`` (cells row-major),
-    ``offsets`` the ``2**n`` node offsets of the cell corners from it, in
-    increasing order, and ``coeffs[a, k]`` the coefficient of corner ``k``
-    in gradient component ``a``: ``(2 s - 1) 0.5**(n-1) / h`` with ``s``
-    the corner's step (0 or 1) along axis ``a``, i.e. the forward
-    difference along ``a`` averaged over the cell's ``2**(n-1)`` edges
-    parallel to it.  This is the gradient of the multilinear interpolant
-    at the cell centre, the same for every cell, and the one definition
-    of the cell gradient.  Cached per grid and shared: do not mutate.
+    Corner ``k`` of a cell, in increasing node order, lies ``steps[a, k]`` (0 or
+    1) nodes from the cell's lowest corner along axis ``a``; its coefficient in
+    component ``a`` is ``coeffs[a, k] = (2 steps[a, k] - 1) 0.5**(n-1) / h``, the
+    forward difference along ``a`` averaged over the cell's ``2**(n-1)`` edges
+    parallel to it.  This gradient of the multilinear interpolant at the cell
+    centre is the same for every cell and the one definition of the cell
+    gradient.  Cached per grid and shared: do not mutate.
     """
-    n, m = spec.n, spec.m
-    axes = np.arange(n - 1, -1, -1)
-    steps = (np.arange(2**n) >> axes[:, None]) & 1  # steps[a, k]: corner k along axis a
-    offsets = m**axes @ steps
+    n = spec.n
+    steps = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
     coeffs = (2 * steps - 1) * 0.5 ** (n - 1) / spec.h
-    base = np.arange(spec.num_nodes).reshape(spec.shape)[(slice(0, m - 1),) * n].ravel()
-    for arr in (base, offsets, coeffs):
+    for arr in (steps, coeffs):
         arr.flags.writeable = False
-    return base, offsets, coeffs
+    return steps, coeffs
 
 
-@lru_cache(maxsize=32)
-def cell_gradient_matrix(spec: GridSpec) -> sp.csr_matrix:
-    """The :func:`cell_stencil` as a sparse ``(n * (m-1)**n, m**n)`` CSR matrix G.
-
-    Row ``a * (m-1)**n + c`` is component ``a`` at cell ``c``; its ``2**n``
-    entries sit on the cell corners in increasing column order.  Exact for
-    multilinear functions.  Cached per grid and shared: do not mutate.
-    """
-    base, offsets, coeffs = cell_stencil(spec)
-    shape = (spec.n, base.size, offsets.size)
-    G = sp.csr_matrix(
-        (np.broadcast_to(coeffs[:, None, :], shape).ravel(),
-         np.broadcast_to(base[:, None] + offsets, shape).ravel(),
-         np.arange(0, np.prod(shape) + 1, offsets.size)),
-        shape=(spec.n * base.size, spec.num_nodes),
-    )
-    for arr in (G.data, G.indices, G.indptr):
-        arr.flags.writeable = False
-    return G
-
-
-@lru_cache(maxsize=32)
-def cell_gradient_transpose(spec: GridSpec) -> sp.csr_matrix:
-    """G^T in CSR form: a row-wise matvec, twice as fast as ``G.T`` (CSC), same bits.
-
-    Cached per grid and shared: do not mutate.
-    """
-    GT = cell_gradient_matrix(spec).T.tocsr()
-    for arr in (GT.data, GT.indices, GT.indptr):
-        arr.flags.writeable = False
-    return GT
+def _cell_layout(spec: GridSpec) -> tuple[np.ndarray, int, tuple]:
+    """Each cell kept at the flat index of its lowest corner: corner ``k`` of every
+    cell is ``x[offsets[k]:][:size]`` of a nodal ``x``; ``cells`` picks the cells."""
+    offsets = spec.m ** np.arange(spec.n - 1, -1, -1) @ cell_stencil(spec)[0]
+    cells = (Ellipsis,) + (slice(0, spec.m - 1),) * spec.n
+    return offsets, spec.num_nodes - int(offsets[-1]), cells
 
 
 def cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Components of ``G v``, shaped ``(n, cells)``, and ``|G v|^2`` per cell."""
-    comps = (cell_gradient_matrix(spec) @ v).reshape(spec.n, -1)
+    """Components of ``G v``, shaped ``(n, cells)``, and ``|G v|^2`` per cell.
+
+    Each component, from zero, adds or subtracts the corner slices of ``P = c v``
+    (every coefficient is ``+-c``) in increasing corner order: the order and the
+    bits of a row-wise CSR product, signed zeros included.
+    """
+    steps, coeffs = cell_stencil(spec)
+    offsets, size, cells = _cell_layout(spec)
+    P = abs(coeffs[0, 0]) * v
+    full = np.zeros((spec.n, spec.num_nodes))
+    for k, o in enumerate(offsets):
+        for a, acc in enumerate(full[:, :size]):
+            (np.add if steps[a, k] else np.subtract)(acc, P[o:o + size], out=acc)
+    comps = full.reshape((spec.n,) + spec.shape)[cells].reshape(spec.n, -1)
     return comps, np.sum(comps * comps, axis=0)
+
+
+def cell_gradient_adjoint(w: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """``G^T w`` for cell data ``w`` of ``n * cells`` values, component-major.
+
+    Per component in axis order, ``Q = c w`` goes into the corner slices of a
+    zeroed nodal array in decreasing corner order, so each node sums its cells
+    in increasing order: the bits of a CSR ``G^T`` product.  ``Q`` is +0.0 off
+    the cells, and a +-0.0 term leaves a sum begun at +0.0 as it is.
+    """
+    steps, coeffs = cell_stencil(spec)
+    offsets, size, cells = _cell_layout(spec)
+    Q = np.zeros((spec.n,) + spec.shape)
+    np.multiply(abs(coeffs[0, 0]), w.reshape(Q[cells].shape), out=Q[cells])
+    out = np.zeros(spec.num_nodes)
+    for a, q in enumerate(Q.reshape(spec.n, -1)[:, :size]):
+        for k in reversed(range(offsets.size)):
+            acc = out[offsets[k]:offsets[k] + size]
+            (np.add if steps[a, k] else np.subtract)(acc, q, out=acc)
+    return out
 
 
 def energy_sums(v: np.ndarray, V: np.ndarray, spec: GridSpec, p: float,

@@ -7,11 +7,11 @@ The discrete energy of a nodal function v (zero on the boundary) is
          - sum_nodes w_i f_i v_i,
 
 where ``G_c`` is the gradient of the multilinear interpolant at the
-center of cell c, defined once by the stencil table
-:func:`~pschrod.grid.cell_stencil`, and ``w_i`` are the trapezoid node
-weights.  Each summand is convex and the zero-order term is strictly
-convex for p >= 2 and V >= 1, so J has a unique minimizer; the
-Euler-Lagrange residual returned by :func:`residual` is the exact gradient
+center of cell c, defined once by the stencil table ``(steps, coeffs)``
+of :func:`~pschrod.grid.cell_stencil` and applied from it with no stored
+matrix, and ``w_i`` are the trapezoid node weights.  Each summand is
+convex and the zero-order term is strictly convex for p >= 2 and V >= 1,
+so J has a unique minimizer; :func:`residual` returns the exact gradient
 of J with respect to interior nodal values divided by the node weight.
 
 The minimizer is found by damped Newton with backtracking line search.
@@ -40,7 +40,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import (GridFunction, GridSpec, _require_zero_boundary, abs_power,
-                   cell_gradient_squared, cell_gradient_transpose, cell_stencil,
+                   cell_gradient_adjoint, cell_gradient_squared, cell_stencil,
                    energy_sums)
 
 __all__ = [
@@ -187,7 +187,7 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
     p = prob.p
     comps, s = cell_gradient_squared(v, spec)
     weight = abs_power(s, (p - 2.0) / 2.0, out=s)
-    g = spec.h**spec.n * (cell_gradient_transpose(spec) @ (weight * comps).ravel())
+    g = spec.h**spec.n * cell_gradient_adjoint(weight * comps, spec)
     w = spec.weights()
     g += w * prob.V.values * abs_power(v, p - 2.0) * v
     g -= w * prob.f.values
@@ -198,9 +198,9 @@ def _gradient_arrays(v: np.ndarray, prob: Problem) -> np.ndarray:
 class _HessianPattern:
     """The fixed sparsity of the interior Hessian on one grid, and how to fill it.
 
-    In the table :func:`~pschrod.grid.cell_stencil` corner ``k`` has the
-    column ``c sigma_k``, ``sigma_k`` the signs of its steps, and its
-    antipode ``2**n - 1 - k`` the column ``-c sigma_k``.  So group
+    In the table ``(steps, coeffs)`` of :func:`~pschrod.grid.cell_stencil`
+    corner ``k`` has the column ``c sigma_k``, ``sigma_k = 2 steps_k - 1``,
+    and its antipode ``2**n - 1 - k`` the column ``-c sigma_k``.  So group
     ``g < 2**(n-1)`` holds corner ``g``, of signs ``signs[g]``, and its
     antipode.  With ``y_g = signs[g] . G_c v`` the cell block of
     ``h^n G^T K G``, for ``K = w1 I + w2 xi xi^T``, is
@@ -242,10 +242,9 @@ def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     offsets, each on the box of interior nodes with an interior neighbour.
     """
     n, m = spec.n, spec.m
-    coeffs = cell_stencil(spec)[2]
+    steps, coeffs = cell_stencil(spec)
     corners = coeffs.shape[1]
     half = corners // 2
-    steps = (coeffs > 0).astype(int)
     group = np.minimum(np.arange(corners), corners - 1 - np.arange(corners))
     signs = np.sign(coeffs[:, :half]).T
     a, b = np.triu_indices(half)

@@ -1,5 +1,8 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pschrod.pipeline import SchemeConfig, run_scheme
 from pschrod.presets import standard_grid, standard_potential, two_bump_datum
@@ -33,3 +36,23 @@ def std_scheme_p3(std_datum, std_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250808)
+
+
+def _kronecker_cell_gradient(spec):
+    """G stacked from Kronecker products of 1-D difference and average matrices."""
+    m = spec.m
+    diff = sp.diags([-1.0 / spec.h, 1.0 / spec.h], [0, 1], shape=(m - 1, m))
+    avg = sp.diags([0.5, 0.5], [0, 1], shape=(m - 1, m))
+    comps = [
+        reduce(lambda a, b: sp.kron(a, b, format="csr"),
+               [diff if other == axis else avg for other in range(spec.n)])
+        for axis in range(spec.n)
+    ]
+    return sp.vstack(comps, format="csr")
+
+
+@pytest.fixture(scope="session")
+def kronecker_gradient():
+    """The reference cell gradient: ``kronecker_gradient(spec)`` is G as CSR,
+    built independently of ``pschrod.grid.cell_stencil``."""
+    return _kronecker_cell_gradient

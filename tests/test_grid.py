@@ -1,18 +1,16 @@
 import math
-from functools import reduce
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from pschrod.asymptotic import tail_lambda
 from pschrod.grid import (
     GridFunction,
     GridSpec,
     abs_power,
-    cell_gradient_matrix,
+    cell_gradient_adjoint,
     cell_gradient_squared,
-    cell_gradient_transpose,
     cell_stencil,
     gradient,
     integrate,
@@ -138,80 +136,101 @@ def test_gradient_quadratic_interior():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cell_gradient_exact_on_affine(n):
+def test_cell_gradient_exact_on_affine(n, kronecker_gradient):
     spec = GridSpec(n, 1.5, 7)
     coef = np.array([2.0, -5.0, 0.75])[:n]
     u = 1.0 + spec.node_coords() @ coef
-    G = cell_gradient_matrix(spec)
+    G = kronecker_gradient(spec)
     assert G.shape == (n * (spec.m - 1) ** n, spec.num_nodes)
-    comps = (G @ u).reshape(n, -1)
-    for a in range(n):
-        assert np.allclose(comps[a], coef[a], rtol=0, atol=1e-12)
-    _, norm2 = cell_gradient_squared(u, spec)
+    comps, norm2 = cell_gradient_squared(u, spec)
+    for got in ((G @ u).reshape(n, -1), comps):
+        for a in range(n):
+            assert np.allclose(got[a], coef[a], rtol=0, atol=1e-12)
     assert np.allclose(np.sqrt(norm2), np.linalg.norm(coef), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cell_gradient_exact_on_multilinear(n):
+def test_cell_gradient_exact_on_multilinear(n, kronecker_gradient):
     # u = prod_a (1 + c_a x_a): its gradient at a cell centre is exact
     spec = GridSpec(n, 1.0, 6)
     c = np.array([0.5, -1.5, 2.0])[:n]
     u = np.prod(1.0 + spec.node_coords() * c, axis=1)
     x = spec.axis_coords()
     centres = [a.ravel() for a in np.meshgrid(*[0.5 * (x[:-1] + x[1:])] * n, indexing="ij")]
-    comps = (cell_gradient_matrix(spec) @ u).reshape(n, -1)
-    for a in range(n):
-        expected = c[a] * np.prod(
-            [1.0 + c[b] * centres[b] for b in range(n) if b != a], axis=0
-        )
-        assert np.allclose(comps[a], expected, rtol=0, atol=1e-12)
+    for comps in ((kronecker_gradient(spec) @ u).reshape(n, -1), cell_gradient_squared(u, spec)[0]):
+        for a in range(n):
+            expected = c[a] * np.prod(
+                [1.0 + c[b] * centres[b] for b in range(n) if b != a], axis=0
+            )
+            assert np.allclose(comps[a], expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cell_gradient_transpose_is_adjoint(n, rng):
+def test_cell_gradient_transpose_is_adjoint(n, rng, kronecker_gradient):
     spec = GridSpec(n, 2.0, 9)
-    G = cell_gradient_matrix(spec)
+    G = kronecker_gradient(spec)
     u = rng.standard_normal(spec.num_nodes)
     w = rng.standard_normal(G.shape[0])
-    lhs = float(np.dot(G @ u, w))
-    rhs = float(np.dot(u, G.T @ w))
+    lhs = float(np.dot(cell_gradient_squared(u, spec)[0].ravel(), w))
+    rhs = float(np.dot(u, cell_gradient_adjoint(w, spec)))
     scale = float(np.dot(np.abs(G) @ np.abs(u), np.abs(w)))
     assert abs(lhs - rhs) <= 1e-14 * scale
 
 
-def _kronecker_cell_gradient(spec):
-    """G stacked from Kronecker products of 1-D difference and average matrices."""
-    m = spec.m
-    diff = sp.diags([-1.0 / spec.h, 1.0 / spec.h], [0, 1], shape=(m - 1, m))
-    avg = sp.diags([0.5, 0.5], [0, 1], shape=(m - 1, m))
-    comps = [
-        reduce(lambda a, b: sp.kron(a, b, format="csr"),
-               [diff if other == axis else avg for other in range(spec.n)])
-        for axis in range(spec.n)
-    ]
-    return sp.vstack(comps, format="csr")
+def _signed_zeros_and_subnormals(size, rng):
+    """Normal values over many binades with exact +0.0, -0.0 and subnormal entries."""
+    x = rng.standard_normal(size) * np.exp2(rng.uniform(-1000.0, 10.0, size))
+    kind = rng.integers(0, 5, size)
+    x[kind == 0] = 0.0
+    x[kind == 1] = -0.0
+    x[kind == 2] = rng.integers(-2**20, 2**20, int(np.sum(kind == 2))) * 5e-324
+    return x
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (1, 65), (2, 3), (2, 17), (3, 3), (3, 9)])
 @pytest.mark.parametrize("L", [1.0, 1.2345])
-def test_cell_gradient_matrix_matches_kronecker_construction(n, m, L):
+def test_cell_gradient_matrix_matches_kronecker_construction(n, m, L, rng, kronecker_gradient):
+    # G as applied from the stencil table: G v and G^T w have the bytes of the
+    # row-wise products with the Kronecker-built CSR matrix and its transpose
     spec = GridSpec(n, L, m)
-    G, ref = cell_gradient_matrix(spec), _kronecker_cell_gradient(spec)
-    assert G.shape == ref.shape
-    for got, want in ((G.indptr, ref.indptr), (G.indices, ref.indices), (G.data, ref.data)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    G = kronecker_gradient(spec)
+    v = _signed_zeros_and_subnormals(spec.num_nodes, rng)
+    comps, norm2 = cell_gradient_squared(v, spec)
+    want = (G @ v).reshape(n, -1)
+    assert comps.tobytes() == want.tobytes()
+    assert norm2.tobytes() == np.sum(want * want, axis=0).tobytes()
+    w = _signed_zeros_and_subnormals(G.shape[0], rng)
+    assert cell_gradient_adjoint(w, spec).tobytes() == (G.T.tocsr() @ w).tobytes()
+    # the all-zero sums of each sign: +0.0 from a zeroed start, as in the products
+    for zero in (0.0, -0.0):
+        assert cell_gradient_squared(np.full(spec.num_nodes, zero), spec)[0].tobytes() == (
+            (G @ np.full(spec.num_nodes, zero)).tobytes())
+        assert cell_gradient_adjoint(np.full(G.shape[0], zero), spec).tobytes() == (
+            (G.T.tocsr() @ np.full(G.shape[0], zero)).tobytes())
 
 
-def test_cell_gradient_matrix_is_cached_and_read_only():
+def test_cell_stencil_is_cached_and_read_only():
     spec = GridSpec(2, 1.0, 5)
-    G = cell_gradient_matrix(spec)
-    assert cell_gradient_matrix(GridSpec(2, 1.0, 5)) is G
     assert cell_stencil(GridSpec(2, 1.0, 5)) is cell_stencil(spec)
-    GT = cell_gradient_transpose(spec)
-    assert (GT != G.T).nnz == 0
-    for arr in (G.data, GT.data, *cell_stencil(spec)):
+    for arr in cell_stencil(spec):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def test_cell_gradient_products_memory_on_3d_grid(rng):
+    # no stored matrix: on a fresh grid one G v and one G^T w hold a few
+    # nodal and cell arrays (2.9 MiB here; 19.1 MiB with cached CSR G and G^T)
+    spec = GridSpec(3, 2.0 + 2**-20, 33)
+    v = rng.standard_normal(spec.num_nodes)
+    w = rng.standard_normal(3 * 32**3)
+    tracemalloc.start()
+    try:
+        cell_gradient_squared(v, spec)
+        cell_gradient_adjoint(w, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_integrate_constant_box_volume():

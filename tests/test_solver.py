@@ -12,7 +12,6 @@ from pschrod.asymptotic import ExponentP, lambda_fnorm_rows, lp_norm, tail_lambd
 from pschrod.grid import (
     GridFunction,
     GridSpec,
-    cell_gradient_matrix,
     cell_gradient_squared,
     cell_stencil,
     integrate,
@@ -413,11 +412,10 @@ def test_line_band_reads_the_diagonals_of_the_hessian(n, m, rng):
     assert _line_band(H, prob.spec).tobytes() == expected.tobytes()
 
 
-def _spgemm_hessian(v, prob):
+def _spgemm_hessian(v, prob, G):
     """``h^n G_int^T K G_int + diag`` by sparse products, K assembled blockwise."""
     spec, p, n, eps = prob.spec, prob.p, prob.spec.n, prob.eps_reg
     interior = ~spec.boundary_mask()
-    G = cell_gradient_matrix(spec)
     G_int = G[:, interior].tocsr()
     comps = (G @ v).reshape(n, -1)
     s = np.sum(comps * comps, axis=0) + eps * eps
@@ -435,7 +433,7 @@ def _spgemm_hessian(v, prob):
 # "eps0": the flat state v = 0, where eps alone sets every cell weight (at
 # p = 2 the matrix of the linear warm start); "eps_reg": a random state
 @pytest.mark.parametrize("flat", [True, False], ids=["eps0", "eps_reg"])
-def test_hessian_matches_sparse_product_assembly(n, m, p, flat, rng):
+def test_hessian_matches_sparse_product_assembly(n, m, p, flat, rng, kronecker_gradient):
     prob = _trap_problem(n, m, p)
     spec = prob.spec
     interior = ~spec.boundary_mask()
@@ -443,7 +441,7 @@ def test_hessian_matches_sparse_product_assembly(n, m, p, flat, rng):
     if not flat:
         v[interior] = rng.standard_normal(int(np.sum(interior)))
     H = _hessian_interior(v, prob)
-    oracle = _spgemm_hessian(v, prob).tocsr()
+    oracle = _spgemm_hessian(v, prob, kronecker_gradient(spec)).tocsr()
     assert H.has_canonical_format
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
     # every entry the products keep is stored in H; H may also store exact zeros
@@ -452,7 +450,7 @@ def test_hessian_matches_sparse_product_assembly(n, m, p, flat, rng):
     assert np.all(np.asarray(stored[rows, cols]).ravel() == 1.0)
 
 
-def test_hessian_matches_sparse_product_assembly_past_int32_keys(rng):
+def test_hessian_matches_sparse_product_assembly_past_int32_keys(rng, kronecker_gradient):
     # the one large grid checked against the sparse products: with 217^2
     # interior nodes a flat (row, col) index no longer fits in int32, so the
     # pattern must index its entries some other way
@@ -462,18 +460,18 @@ def test_hessian_matches_sparse_product_assembly_past_int32_keys(rng):
     v = np.zeros(prob.spec.num_nodes)
     v[interior] = rng.standard_normal(int(np.sum(interior)))
     H = _hessian_interior(v, prob)
-    oracle = _spgemm_hessian(v, prob)
+    oracle = _spgemm_hessian(v, prob, kronecker_gradient(prob.spec))
     assert H.has_canonical_format and H.nnz == oracle.nnz
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
 
 
-def test_hessian_pattern_keeps_entries_that_cancel():
+def test_hessian_pattern_keeps_entries_that_cancel(kronecker_gradient):
     # at 2D p = 2 the two gradient components cancel on cell edges, and the
     # sparse products drop those exact zeros
     prob = _trap_problem(2, 17, 2.0)
     v = np.zeros(prob.spec.num_nodes)
     H = _hessian_interior(v, prob)
-    oracle = _spgemm_hessian(v, prob)
+    oracle = _spgemm_hessian(v, prob, kronecker_gradient(prob.spec))
     assert (H.nnz, oracle.nnz) == (1849, 1009)
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
 
@@ -483,7 +481,7 @@ def test_hessian_pattern_groups_antipodal_corners(n):
     # corner k and its antipode 2^n - 1 - k have opposite stencil columns,
     # so one value per pair of groups carries every corner pair of a cell
     spec = GridSpec(n, 2.0, 5)
-    _, _, coeffs = cell_stencil(spec)
+    _, coeffs = cell_stencil(spec)
     pattern = _hessian_pattern(spec)
     groups = 2 ** (n - 1)
     assert pattern.signs.shape == (groups, n)
@@ -517,7 +515,7 @@ def test_1d_hessian_bytes_match_outer_product_fill(m, p, flat, rng):
     w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
     K = (w2 * comps[0]) * comps[0]
     K += w1
-    g = cell_stencil(spec)[2][0]
+    g = cell_stencil(spec)[1][0]
     M = spec.h * (g[:, None] * g[None, :])
     KM = K[:, None, None] * M  # (cells, corner i, corner j)
     diagonal = KM[:-1, 1, 1] + KM[1:, 0, 0]
@@ -551,8 +549,8 @@ def test_nd_hessian_bytes_match_cell_order_fill(n, m, p, flat, rng):
     s += eps * eps
     w1 = s ** ((p - 2.0) / 2.0)
     w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
-    base, offsets, coeffs = cell_stencil(spec)
-    corners = offsets.size
+    steps, coeffs = cell_stencil(spec)
+    corners = steps.shape[1]
     sigma = np.sign(coeffs)  # every column is c sigma_k, one magnitude c
     y = np.empty((corners, s.size))  # sigma_k . xi, components added in axis order
     for k in range(corners):
@@ -575,8 +573,10 @@ def test_nd_hessian_bytes_match_cell_order_fill(n, m, p, flat, rng):
     local[interior] = np.arange(size)
     reference = np.zeros((size, size))
     stored = np.zeros((size, size), dtype=bool)
-    for c in range(base.size):
-        nodes = local[base[c] + offsets]
+    # the corner nodes of every cell, cells row-major, corners in table order
+    lowest = np.arange(spec.num_nodes).reshape(spec.shape)[(slice(0, m - 1),) * n].ravel()
+    corner_nodes = lowest[:, None] + m ** np.arange(n - 1, -1, -1) @ steps
+    for c, nodes in enumerate(local[corner_nodes]):
         keep = nodes >= 0
         entries = np.ix_(nodes[keep], nodes[keep])
         reference[entries] += block[c][np.ix_(keep, keep)]
@@ -742,7 +742,7 @@ def test_flux_monotonicity_vectors_and_scalars(p, rng):
 
 @pytest.mark.parametrize("n, m", [(1, 4097), (2, 65), (3, 17)])
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 6.0])
-def test_grid_powers_bit_identical_on_underflowing_tail(n, m, p):
+def test_grid_powers_bit_identical_on_underflowing_tail(n, m, p, kronecker_gradient):
     # exp(-18.5 |x|) on [-40, 40]^n: most |u|^p fall below the double range
     spec = GridSpec(n, 40.0, m)
     x = spec.node_coords()
@@ -755,7 +755,7 @@ def test_grid_powers_bit_identical_on_underflowing_tail(n, m, p):
     assert np.count_nonzero((np.abs(v) ** p == 0.0) & (v != 0.0)) > v.size // 4
 
     h_n, w = spec.h**spec.n, spec.weights()
-    G = cell_gradient_matrix(spec)
+    G = kronecker_gradient(spec)
     comps = (G @ v).reshape(n, -1)
     s = np.sum(comps * comps, axis=0)
     J = (h_n / p * float(np.sum(s ** (p / 2.0)))
