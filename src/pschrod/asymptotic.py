@@ -136,24 +136,31 @@ def lp_norm(u: GridFunction, p) -> float:
     return float(integrate(GridFunction(u.spec, abs_power(u.values, p)))) ** (1.0 / p)
 
 
-def lambda_mass_rows(values: np.ndarray, weights: np.ndarray, p) -> np.ndarray:
+def lambda_mass_rows(values: np.ndarray, weights: np.ndarray, p,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """F-norm mass ``min(|x|, 1)^p @ weights`` of each row of ``(..., num_nodes)`` values.
 
     ``weights`` are the grid's quadrature weights, or the subset matching
     ``values``; :func:`lambda_fnorm_rows` is the p-th root of the mass.
+    |x|, the clip at 1 and the power are computed in ``out`` (an array of
+    the shape of ``values``, or ``values`` itself), and the row sums are
+    taken from it; without ``out`` a new array is used.  The result has the
+    same bits either way.
     """
     p = _as_p(p)
-    clipped = np.abs(values)
+    clipped = np.abs(values, out=out)
     np.minimum(clipped, 1.0, out=clipped)
     return abs_power(clipped, p, out=clipped) @ weights
 
 
-def lambda_fnorm_rows(values: np.ndarray, weights: np.ndarray, p) -> np.ndarray:
+def lambda_fnorm_rows(values: np.ndarray, weights: np.ndarray, p,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """F-norm ``(min(|x|, 1)^p @ weights)^(1/p)`` of each row of ``(..., num_nodes)`` values.
 
-    ``weights`` are the grid's quadrature weights; one row gives :func:`lambda_fnorm`.
+    ``weights`` are the grid's quadrature weights; one row gives
+    :func:`lambda_fnorm`.  ``out`` is the work buffer of :func:`lambda_mass_rows`.
     """
-    return lambda_mass_rows(values, weights, p) ** (1.0 / float(p))
+    return lambda_mass_rows(values, weights, p, out=out) ** (1.0 / float(p))
 
 
 def lambda_fnorm(u: GridFunction, p) -> float:

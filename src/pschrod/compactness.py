@@ -33,7 +33,7 @@ from .asymptotic import (
     tail_lambda,
     weak_lq_quasinorm,
 )
-from .grid import GridFunction, GridSpec, gradient
+from .grid import GridFunction, GridSpec, _component_sum, gradient
 
 __all__ = [
     "FunctionFamily",
@@ -153,7 +153,7 @@ def translation_defect(u: GridFunction, y, p) -> float:
 def _gradient_magnitude(u: GridFunction) -> GridFunction:
     """``|grad u|`` at every node, from the nodal gradient."""
     g = gradient(u)
-    return GridFunction(u.spec, np.sqrt(np.sum(g * g, axis=-1)))
+    return GridFunction(u.spec, np.sqrt(_component_sum(g * g)))
 
 
 def _axis_shifts(spec: GridSpec, magnitude: float) -> list[np.ndarray]:

@@ -117,7 +117,7 @@ class GridSpec:
     @lru_cache(maxsize=64)
     def radii(self) -> np.ndarray:
         """Euclidean distance of every node from the origin, shape ``(m**n,)``."""
-        r = np.sqrt(np.sum(self.node_coords() ** 2, axis=1))
+        r = np.sqrt(_component_sum(self.node_coords() ** 2))
         r.flags.writeable = False
         return r
 
@@ -217,6 +217,21 @@ def _require_radius(R: float) -> None:
         raise ValueError(f"radius must be nonnegative, got {R!r}")
 
 
+def _component_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the short last axis of ``x``: the 1 to 3 components of grid vectors.
+
+    The columns are added one at a time, in index order, to a sum that starts
+    at +0.0.  On so short an axis that is the order of ``np.sum(x, axis=-1)``
+    in any memory layout, so the bits are the same; ``np.sum`` is several times
+    slower here.  A sum started from the first column instead would leave a
+    row of -0.0 at -0.0, where ``np.sum`` gives +0.0.
+    """
+    out = np.add(x[..., 0], 0.0)  # the same as +0.0 + x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
 def sample(spec: GridSpec, field: Callable) -> GridFunction:
     """Sample a pointwise function of n scalar coordinates at every node.
 
@@ -300,7 +315,8 @@ def cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np
 
     Each component, from zero, adds or subtracts the corner slices of ``P = c v``
     (every coefficient is ``+-c``) in increasing corner order: the order and the
-    bits of a row-wise CSR product, signed zeros included.
+    bits of a row-wise CSR product, signed zeros included.  ``|G v|^2`` adds the
+    squared components in place in axis order, the bits of their ``np.sum``.
     """
     steps, coeffs = cell_stencil(spec)
     offsets, size, cells = _cell_layout(spec)
@@ -310,7 +326,10 @@ def cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np
         for a, acc in enumerate(full[:, :size]):
             (np.add if steps[a, k] else np.subtract)(acc, P[o:o + size], out=acc)
     comps = full.reshape((spec.n,) + spec.shape)[cells].reshape(spec.n, -1)
-    return comps, np.sum(comps * comps, axis=0)
+    s = comps[0] * comps[0]
+    for c in comps[1:]:
+        s += c * c
+    return comps, s
 
 
 def cell_gradient_adjoint(w: np.ndarray, spec: GridSpec) -> np.ndarray:

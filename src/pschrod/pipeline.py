@@ -48,6 +48,7 @@ from .asymptotic import (
 from .grid import (
     GridFunction,
     GridSpec,
+    _component_sum,
     _require_zero_boundary,
     abs_power,
     energy_sums,
@@ -283,7 +284,7 @@ def distributional_residual(
         raise ValueError(f"gradient must have shape {(u.spec.num_nodes, u.spec.n)}")
     p = prob.p
     flux = pflux(grad, p)
-    kin = integrate(GridFunction(u.spec, np.sum(flux * gradient(psi), axis=-1)))
+    kin = integrate(GridFunction(u.spec, _component_sum(flux * gradient(psi))))
     zero_order = integrate(
         GridFunction(
             u.spec,

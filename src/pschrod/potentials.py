@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, _require_radius, row_blocks, sample
+from .grid import GridFunction, GridSpec, _component_sum, _require_radius, row_blocks, sample
 
 __all__ = [
     "Potential",
@@ -217,7 +217,7 @@ def bad_set_measure_mc(V: Potential, spec: GridSpec, R: float, *,
         pts = rng.uniform(-spec.L, spec.L, size=(rows.stop - rows.start, spec.n))
         vals = np.asarray(V.evaluator(*[pts[:, a] for a in range(spec.n)]),
                           dtype=np.float64)
-        r = np.sqrt(np.sum(pts**2, axis=1))
+        r = np.sqrt(_component_sum(pts**2))
         hits += int(np.count_nonzero(_in_bad_set(V, r, vals, R)))
     volume = (2.0 * spec.L) ** spec.n
     return volume * (hits / samples)

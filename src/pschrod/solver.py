@@ -39,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import (GridFunction, GridSpec, _require_zero_boundary, abs_power,
+from .grid import (GridFunction, GridSpec, _component_sum, _require_zero_boundary, abs_power,
                    cell_gradient_adjoint, cell_gradient_squared, cell_stencil,
                    energy_sums)
 
@@ -63,7 +63,8 @@ def pflux(xi: np.ndarray, p: float) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=np.float64)
     if xi.ndim >= 2:
-        norm = np.sqrt(np.sum(xi**2, axis=-1, keepdims=True))
+        norm = _component_sum(xi * xi)
+        norm = np.sqrt(norm, out=norm)[..., None]
         return abs_power(norm, p - 2.0, out=norm) * xi
     return abs_power(xi, p - 2.0) * xi
 
@@ -84,10 +85,12 @@ def monotonicity_margin(xi, eta, p: float) -> np.ndarray:
     xi = np.asarray(xi, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
     diff = xi - eta
-    prod = (pflux(xi, p) - pflux(eta, p)) * diff
+    prod = pflux(xi, p) - pflux(eta, p)
+    prod *= diff
     if xi.ndim >= 2:
-        inner = np.sum(prod, axis=-1)
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
+        inner = _component_sum(prod)
+        dist = _component_sum(np.multiply(diff, diff, out=prod))
+        dist = np.sqrt(dist, out=dist)
     else:
         inner = prod
         dist = np.abs(diff)

@@ -11,6 +11,7 @@ depend on the seed.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from .compactness import (
     epsilon_net,
     kr_report,
 )
-from .grid import GridFunction, GridSpec, integrate, row_blocks, write_json, zero_boundary
+from .grid import (GridFunction, GridSpec, _component_sum, integrate, row_blocks, write_json,
+                   zero_boundary)
 from .pipeline import identity_budget, identity_defect, mollify_datum
 from .potentials import bad_set_measure_mc, confinement_report, sparse_wells
 from .presets import (
@@ -48,14 +50,17 @@ __all__ = ["SUITE_NAMES", "run_verify"]
 def _suite_monotonicity(rng: np.random.Generator) -> dict:
     details = {}
     worst = 0.0
+    # every batch is drawn into the same buffers: the stream of fresh arrays
+    xi, eta = np.empty((2, 100_000, 3))
+    a, b = np.empty((2, 100_000))
     for p in (2.0, 2.5, 3.0, 4.0):
-        xi = rng.standard_normal((100_000, 3))
-        eta = rng.standard_normal((100_000, 3))
+        rng.standard_normal(out=xi)
+        rng.standard_normal(out=eta)
         margin = monotonicity_margin(xi, eta, p)
-        rhs = 2.0 ** (2.0 - p) * np.sum((xi - eta) ** 2, axis=-1) ** (p / 2.0)
+        rhs = 2.0 ** (2.0 - p) * _component_sum((xi - eta) ** 2) ** (p / 2.0)
         rel = margin / np.maximum(rhs, 1e-300)
-        a = rng.standard_normal(100_000)
-        b = rng.standard_normal(100_000)
+        rng.standard_normal(out=a)
+        rng.standard_normal(out=b)
         margin_s = monotonicity_margin(a, b, p)
         rel_s = margin_s / np.maximum(2.0 ** (2.0 - p) * np.abs(a - b) ** p, 1e-300)
         details[f"p={p:g}"] = {
@@ -72,28 +77,36 @@ def _suite_lambda_metric(rng: np.random.Generator) -> dict:
     p = 2.0
     weights = spec.weights()
     # one draw, whose values the seed fixes; the gaps are then taken one row
-    # block at a time, and their maxima over the blocks have the same bits
+    # block at a time in two buffers allocated once, and their maxima over
+    # the blocks have the same bits
     u, v, w = rng.normal(0.0, 3.0, (3, n_pairs, spec.num_nodes))
     alpha = rng.uniform(0.1, 4.0, size=(n_pairs, 1))
+    block_rows = next(row_blocks(n_pairs, spec.num_nodes)).stop
+    buf_x, buf_y = np.empty((2, block_rows, spec.num_nodes))
 
-    def dist(a, b):
-        return lambda_fnorm_rows(a - b, weights, p)
+    def dist(diff):
+        """Row distances of the pairs whose differences ``diff`` holds; overwrites it."""
+        return lambda_fnorm_rows(diff, weights, p, out=diff)
 
     names = ("worst_rel_triangle_gap", "worst_rel_lipschitz_gap", "worst_rel_translation_gap")
     block_maxima = []
     for rows in row_blocks(n_pairs, spec.num_nodes):
         ub, vb, wb, ab = u[rows], v[rows], w[rows], alpha[rows]
-        duv = dist(ub, vb)
-        gaps = (
-            duv - (dist(ub, wb) + dist(wb, vb)),
-            dist(np.clip(ub, -ab, ab), np.clip(vb, -ab, ab)) - duv,
-            np.abs(dist(ub + wb, vb + wb) - duv),
-        )
+        x, y = buf_x[:len(ub)], buf_y[:len(ub)]
+        duv = dist(np.subtract(ub, vb, out=x))
+        triangle = dist(np.subtract(ub, wb, out=x)) + dist(np.subtract(wb, vb, out=x))
+        np.clip(ub, -ab, ab, out=x)
+        np.clip(vb, -ab, ab, out=y)
+        lipschitz = dist(np.subtract(x, y, out=x))
+        np.add(ub, wb, out=x)
+        np.add(vb, wb, out=y)
+        translation = dist(np.subtract(x, y, out=x))
+        gaps = (duv - triangle, lipschitz - duv, np.abs(translation - duv))
         scale = np.maximum(duv, 1e-300)
         block_maxima.append([np.max(gap / scale) for gap in gaps])
     worst = {name: max(0.0, float(top))
              for name, top in zip(names, np.max(block_maxima, axis=0))}
-    identity_zero = float(dist(u[-1], u[-1]))
+    identity_zero = float(dist(u[-1] - u[-1]))
     passed = all(gap <= ALGEBRAIC_TOL for gap in worst.values()) and identity_zero == 0.0
     return {"passed": passed, "pairs": n_pairs, **worst, "self_distance": identity_zero}
 
@@ -132,11 +145,11 @@ def _suite_nesting_embedding(rng: np.random.Generator) -> dict:
     }
 
 
-def _suite_pipeline(rng: np.random.Generator) -> dict:
+def _suite_pipeline(rng: np.random.Generator, scheme=small_scheme) -> dict:
     details = {}
     passed = True
     for p in (2.0, 3.0):
-        res = small_scheme(p)
+        res = scheme(p)
         failed = res.failed_reports()
         dists = [row["lambda_dist_to_ref"] for row in res.convergence["rows"][:-1]]
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -181,16 +194,16 @@ def _suite_sparse_wells(rng: np.random.Generator) -> dict:
     }
 
 
-def _suite_compactness(rng: np.random.Generator) -> dict:
+def _suite_compactness(rng: np.random.Generator, scheme=small_scheme) -> dict:
     spec = GridSpec(n=1, L=8.0, m=257)
     eps = 0.3
     translates = translating_bumps(spec, count=7)
     rep_translates = kr_report(translates, 2.0, K_grid=[0.5, 1.0], eps=eps)
 
-    scheme = small_scheme(2.0)
+    res = scheme(2.0)
     t = 1.0
     fam = FunctionFamily(
-        tuple(truncate(scheme.solutions[k].u, t) for k in scheme.k_list),
+        tuple(truncate(res.solutions[k].u, t) for k in res.k_list),
         label="truncated solutions",
     )
     rep_solutions = ark_check(fam, 2.0, K_grid=[0.5, 1.0], eps=eps)
@@ -236,9 +249,9 @@ def _suite_localized_identity(rng: np.random.Generator) -> dict:
     }
 
 
-def _suite_uniqueness(rng: np.random.Generator) -> dict:
-    res_canonical = small_scheme(2.0)
-    res_mollified = small_scheme(2.0, regularizer=mollify_datum)
+def _suite_uniqueness(rng: np.random.Generator, scheme=small_scheme) -> dict:
+    res_canonical = scheme(2.0)
+    res_mollified = scheme(2.0, regularizer=mollify_datum)
     k_ref = res_canonical.k_list[-1]
     d_ref = lambda_dist(
         res_canonical.solutions[k_ref].u, res_mollified.solutions[k_ref].u, 2.0
@@ -279,6 +292,8 @@ _SUITES = {
 }
 
 SUITE_NAMES = tuple(_SUITES)
+# the suites that take ``scheme``, a callable with the signature of small_scheme
+_SCHEME_SUITES = ("pipeline", "compactness", "uniqueness")
 
 
 def run_verify(
@@ -291,7 +306,12 @@ def run_verify(
     """Run the selected suites, write one JSON report each, return a summary.
 
     Child seeds derive from ``(seed, canonical suite index)``, so a filtered
-    run reproduces exactly the corresponding reports of a full run.
+    run reproduces exactly the corresponding reports of a full run.  The
+    ``pipeline``, ``compactness`` and ``uniqueness`` suites share their
+    :func:`~pschrod.presets.small_scheme` results: each ``(p, regularizer)``
+    is run once per call, so together they run three schemes, not five.  The
+    share ends with the call, and a filtered run computes the schemes its
+    suites need.
     """
     chosen = list(SUITE_NAMES) if suites is None else list(suites)
     unknown = [s for s in chosen if s not in _SUITES]
@@ -301,10 +321,13 @@ def run_verify(
     out.mkdir(parents=True, exist_ok=True)
     summary = {"seed": seed, "suites": {}}
     all_passed = True
+    scheme = cache(small_scheme)
     for name in chosen:
         idx = SUITE_NAMES.index(name)
         rng = np.random.default_rng([seed, idx])
-        result = {"suite": name, "seed": seed, **_SUITES[name](rng)}
+        suite = _SUITES[name]
+        found = suite(rng, scheme=scheme) if name in _SCHEME_SUITES else suite(rng)
+        result = {"suite": name, "seed": seed, **found}
         write_json(out / f"verify_{name}.json", result)
         summary["suites"][name] = result["passed"]
         all_passed = all_passed and result["passed"]

@@ -9,6 +9,7 @@ from pschrod.asymptotic import (
     lambda_dist,
     lambda_fnorm,
     lambda_fnorm_rows,
+    lambda_mass_rows,
     lp_norm,
     superlevel_measure,
     tail_lambda,
@@ -331,3 +332,22 @@ def test_estimate_report_invariants():
     assert EstimateReport.from_dict(d).passed == rep.passed
     with pytest.raises(ValueError):
         EstimateReport("bad", lhs=np.inf, rhs=1.0, tol=0.0, context={})
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize("shape", [(129,), (37, 129)])
+def test_lambda_mass_rows_out_buffer_has_allocating_bits(shape, p):
+    rng = np.random.default_rng(5)
+    w = GridSpec(1, 4.0, 129).weights()
+    values = rng.normal(0.0, 3.0, shape)
+    values[..., :6] = [0.0, -0.0, 5e-324, -1e-200, 1.0, -1.0]
+    kept = values.copy()
+    expected = lambda_mass_rows(values, w, p).tobytes()
+    buf = np.empty(shape)
+    assert lambda_mass_rows(values, w, p, out=buf).tobytes() == expected
+    assert values.tobytes() == kept.tobytes()
+    fnorm = lambda_fnorm_rows(values, w, p).tobytes()
+    assert lambda_fnorm_rows(values, w, p, out=buf).tobytes() == fnorm
+    # the values themselves as the buffer
+    assert lambda_mass_rows(values, w, p, out=values).tobytes() == expected
+    assert lambda_fnorm_rows(kept, w, p, out=kept).tobytes() == fnorm

@@ -8,6 +8,7 @@ from pschrod.asymptotic import tail_lambda
 from pschrod.grid import (
     GridFunction,
     GridSpec,
+    _component_sum,
     abs_power,
     cell_gradient_adjoint,
     cell_gradient_squared,
@@ -387,3 +388,42 @@ def test_row_blocks_product_has_one_shot_bits(rng):
     w = rng.random(129)
     blocked = np.concatenate([a[b] @ w for b in row_blocks(len(a), a.shape[1])])
     assert blocked.tobytes() == (a @ w).tobytes()
+
+
+def component_rows(rng, rows, d):
+    """``(rows, d)`` values from 1e-300 to 1e300 in size; every third row is special:
+    all -0.0, all +0.0, mixed zeros, subnormals, or near 1e+-300 with cancellation."""
+    x = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-300, 301, (rows, d))
+    specials = [
+        [-0.0, -0.0, -0.0],
+        [0.0, 0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        [5e-324, -2.0**-1060, 2.0**-1070],
+        [1e300, -1e300, 3e-300],
+        [-1e-300, 7e-301, 1e-300],
+    ]
+    for k, i in enumerate(range(0, rows, 3)):
+        x[i] = specials[k % len(specials)][:d]
+    return x
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "reversed"])
+@pytest.mark.parametrize("rows", [1, 2, 7, 8, 9, 4097])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_component_sum_has_np_sum_bits(rng, d, rows, layout):
+    x = component_rows(rng, rows, d)
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        big = np.ones((2 * rows, d + 1))
+        big[::2, 1:] = x
+        x = big[::2, 1:]
+    elif layout == "reversed":
+        x = x[::-1, ::-1]
+    expected = np.sum(x, axis=-1)
+    got = _component_sum(x)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    # a row of -0.0 sums to +0.0, as in np.sum
+    negative_zero = np.all((x == 0.0) & np.signbit(x), axis=-1)
+    assert negative_zero.any() and not np.signbit(got[negative_zero]).any()

@@ -1,10 +1,12 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from pschrod import verify
+from pschrod import presets, verify
 from pschrod.asymptotic import ALGEBRAIC_TOL, lambda_fnorm_rows
-from pschrod.grid import GridSpec
+from pschrod.grid import GridSpec, abs_power
+from pschrod.solver import monotonicity_margin, pflux
 
 
 def one_shot_lambda_metric(rng):
@@ -41,3 +43,89 @@ def test_lambda_metric_streams_rows_with_one_shot_bits():
         tracemalloc.stop()
     assert peak < 40 * 2**20
     assert result == one_shot_lambda_metric(np.random.default_rng([7, 1]))
+
+
+def allocating_flux(x, p):
+    """``pflux`` written with fresh arrays and ``np.sum(..., axis=-1)``: the reference."""
+    if x.ndim >= 2:
+        norm = np.sqrt(np.sum(x**2, axis=-1, keepdims=True))
+        return abs_power(norm, p - 2.0, out=norm) * x
+    return abs_power(x, p - 2.0) * x
+
+
+def allocating_margin(x, y, p):
+    """``monotonicity_margin`` written with fresh arrays and ``np.sum``: the reference."""
+    diff = x - y
+    prod = (allocating_flux(x, p) - allocating_flux(y, p)) * diff
+    if x.ndim >= 2:
+        inner = np.sum(prod, axis=-1)
+        dist = np.sqrt(np.sum(diff**2, axis=-1))
+    else:
+        inner = prod
+        dist = np.abs(diff)
+    return inner - 2.0 ** (2.0 - p) * dist**p
+
+
+def allocating_monotonicity(rng):
+    """The ``monotonicity`` suite with fresh draws and ``np.sum``: the reference."""
+    details = {}
+    worst = 0.0
+    for p in (2.0, 2.5, 3.0, 4.0):
+        xi = rng.standard_normal((100_000, 3))
+        eta = rng.standard_normal((100_000, 3))
+        rhs = 2.0 ** (2.0 - p) * np.sum((xi - eta) ** 2, axis=-1) ** (p / 2.0)
+        rel = allocating_margin(xi, eta, p) / np.maximum(rhs, 1e-300)
+        a = rng.standard_normal(100_000)
+        b = rng.standard_normal(100_000)
+        rhs_s = 2.0 ** (2.0 - p) * np.abs(a - b) ** p
+        rel_s = allocating_margin(a, b, p) / np.maximum(rhs_s, 1e-300)
+        details[f"p={p:g}"] = {
+            "min_rel_margin_vector": float(np.min(rel)),
+            "min_rel_margin_scalar": float(np.min(rel_s)),
+        }
+        worst = min(worst, float(np.min(rel)), float(np.min(rel_s)))
+    return {"passed": worst >= -ALGEBRAIC_TOL, "worst_rel_margin": worst, "per_p": details}
+
+
+def test_monotonicity_suite_matches_allocating_reference():
+    # seed 7, suite index 0: the generator `verify --seed 7` hands this suite
+    result = verify._SUITES["monotonicity"](np.random.default_rng([7, 0]))
+    assert result == allocating_monotonicity(np.random.default_rng([7, 0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+def test_flux_and_margin_have_allocating_bits(d, p):
+    rng = np.random.default_rng(11)
+    xi = rng.standard_normal((4097, d)) * 10.0 ** rng.integers(-60, 61, (4097, d))
+    eta = rng.standard_normal((4097, d))
+    xi[:3] = [[-0.0] * d, [0.0] * d, [5e-324] * d]
+    eta[:3] = [[-0.0] * d, [-0.0] * d, [-5e-324] * d]
+    assert pflux(xi, p).tobytes() == allocating_flux(xi, p).tobytes()
+    assert monotonicity_margin(xi, eta, p).tobytes() == allocating_margin(xi, eta, p).tobytes()
+    a, b = xi[:, 0].copy(), eta[:, 0].copy()
+    assert monotonicity_margin(a, b, p).tobytes() == allocating_margin(a, b, p).tobytes()
+
+
+def test_run_verify_runs_each_scheme_once_per_call(tmp_path, monkeypatch):
+    runs = []
+    run_scheme = presets.run_scheme
+
+    def counted(*args, **kwargs):
+        runs.append(args[2])
+        return run_scheme(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "run_scheme", counted)
+    names = ["pipeline", "compactness", "uniqueness"]
+    summary = verify.run_verify(7, tmp_path / "shared", suites=names, echo=lambda msg: None)
+    assert summary["passed"]
+    # p = 2 and p = 3 with the canonical datum, p = 2 with the mollified one
+    assert sorted(runs) == [2.0, 2.0, 3.0]
+    # the share ends with the call; a filtered run computes what its suite needs,
+    # and its report has the bytes of the shared run's
+    for name, count in zip(names, (2, 1, 2)):
+        runs.clear()
+        verify.run_verify(7, tmp_path / name, suites=[name], echo=lambda msg: None)
+        assert len(runs) == count
+        report = f"verify_{name}.json"
+        assert (tmp_path / name / report).read_bytes() == (tmp_path / "shared" / report).read_bytes()
