@@ -200,7 +200,8 @@ def _constant_datum(spec: GridSpec, value: float = 0.0) -> GridFunction:
     return GridFunction(spec, np.full(spec.num_nodes, value))
 
 
-def _gaussian(spec: GridSpec, width: float, height: float, center=(0.0,)):
+def _gaussian(spec: GridSpec, width: float, height: float, center=None):
+    center = (0.0,) * spec.n if center is None else center
     if len(center) != spec.n:
         raise ConfigError(f"datum center must have {spec.n} components")
 
@@ -294,10 +295,11 @@ def _build_family(block: dict, spec: GridSpec | None) -> FunctionFamily:
 # run plumbing
 
 
-def _write_manifest(outdir: Path, config: dict, started: float, seed: int | None = None) -> None:
+def _write_manifest(outdir: Path, args, config: dict, started: float,
+                    seed: int | None = None) -> None:
     manifest = {
         "config": config,
-        "argv": list(sys.argv[1:]),
+        "argv": args.argv,
         "seed": seed,
         "versions": {
             "pschrod": __version__,
@@ -355,7 +357,7 @@ def cmd_solve(args) -> int:
     result = solve(prob)
     save_grid_function(result.u, out / "u")
     write_json(out / "solve.json", result.diagnostics())
-    _write_manifest(out, cfg, started)
+    _write_manifest(out, args, cfg, started)
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
         f"residual_sup={result.residual_sup:.3e} energy={result.energy:.6e}"
@@ -380,7 +382,7 @@ def cmd_pipeline(args) -> int:
     result = _call(run_scheme, f, pot, c["p"], scheme_cfg, **_present(c, ["regularizer"]))
     out = _outdir(args, c)
     save_scheme_result(result, out)
-    _write_manifest(out, cfg, started)
+    _write_manifest(out, args, cfg, started)
     failed = result.failed_reports()
     print(
         f"pipeline: levels={len(result.k_list)} reports={len(result.reports)} "
@@ -416,7 +418,7 @@ def cmd_confinement(args) -> int:
 
     out = _outdir(args, c)
     write_json(out / "confinement.json", payload)
-    _write_manifest(out, cfg, started, seed)
+    _write_manifest(out, args, cfg, started, seed)
 
     print(f"confinement: {report.label} kappa={report.kappa:g} gamma={report.gamma:g}")
     print(f"{'R':>10}  {'|E_R|':>14}")
@@ -452,7 +454,7 @@ def cmd_compactness(args) -> int:
     payload = report.to_dict()
     payload["epsilon_net"] = {"eps": net_eps, "indices": list(map(int, net))}
     write_json(out / "family_report.json", payload)
-    _write_manifest(out, cfg, started)
+    _write_manifest(out, args, cfg, started)
 
     print(f"compactness: family '{fam.label}' size={len(fam)} p={report.p:g} "
           f"eps={report.eps:g}")
@@ -476,7 +478,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify requires a seed (--seed or config key 'seed')")
     out = _outdir(args, c)
     summary = _call(run_verify, seed, out, suites=args.suite or c.get("suites"))
-    _write_manifest(out, cfg, started, seed)
+    _write_manifest(out, args, cfg, started, seed)
     print(f"verify: {'PASS' if summary['passed'] else 'FAIL'} (seed {seed})")
     return EXIT_OK if summary["passed"] else EXIT_FAIL
 
@@ -523,7 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -104,19 +104,6 @@ class FamilyReport:
         }
 
 
-def _shift_add(acc: np.ndarray, src: np.ndarray, offset: tuple[int, ...]) -> None:
-    """acc[i] += src[i + offset] wherever i + offset stays on the grid."""
-    m = acc.shape[0]
-    t_slices, s_slices = [], []
-    for o in offset:
-        t_lo, t_hi = max(0, -o), m - max(0, o)
-        if t_lo >= t_hi:
-            return
-        t_slices.append(slice(t_lo, t_hi))
-        s_slices.append(slice(t_lo + o, t_hi + o))
-    acc[tuple(t_slices)] += src[tuple(s_slices)]
-
-
 def shift_lattice(spec: GridSpec, y) -> tuple[int, ...]:
     """Snap a shift vector to node-offset units; rejects off-lattice shifts."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
@@ -132,9 +119,11 @@ def shift_lattice(spec: GridSpec, y) -> tuple[int, ...]:
 
 
 def _shifted_values(u: GridFunction, offset: tuple[int, ...]) -> np.ndarray:
-    """Samples of ``x -> u(x + y)`` with zero extension outside the box."""
+    """Samples of ``x -> u(x + y)`` with zero extension outside the box, ``|offset| < m``."""
+    m = u.spec.m
     out = np.zeros(u.spec.shape)
-    _shift_add(out, u.reshaped(), offset)
+    out[tuple(slice(max(0, -o), m - max(0, o)) for o in offset)] = (
+        u.reshaped()[tuple(slice(max(0, o), m + min(0, o)) for o in offset)])
     return out.ravel()
 
 

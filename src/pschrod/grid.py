@@ -310,21 +310,32 @@ def _cell_layout(spec: GridSpec) -> tuple[np.ndarray, int, tuple]:
     return offsets, spec.num_nodes - int(offsets[-1]), cells
 
 
-def cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Components of ``G v``, shaped ``(n, cells)``, and ``|G v|^2`` per cell.
+def _cell_gradient_nodal(v: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """``G v`` shaped ``(n, nodes)``, each cell at its lowest corner (:func:`_cell_layout`).
 
     Each component, from zero, adds or subtracts the corner slices of ``P = c v``
     (every coefficient is ``+-c``) in increasing corner order: the order and the
-    bits of a row-wise CSR product, signed zeros included.  ``|G v|^2`` adds the
-    squared components in place in axis order, the bits of their ``np.sum``.
+    bits of a row-wise CSR product, signed zeros included.  Entries off the
+    cells hold no cell's gradient.
     """
     steps, coeffs = cell_stencil(spec)
-    offsets, size, cells = _cell_layout(spec)
+    offsets, size, _ = _cell_layout(spec)
     P = abs(coeffs[0, 0]) * v
     full = np.zeros((spec.n, spec.num_nodes))
     for k, o in enumerate(offsets):
         for a, acc in enumerate(full[:, :size]):
             (np.add if steps[a, k] else np.subtract)(acc, P[o:o + size], out=acc)
+    return full
+
+
+def cell_gradient_squared(v: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Components of ``G v``, shaped ``(n, cells)``, and ``|G v|^2`` per cell.
+
+    The components are :func:`_cell_gradient_nodal` at the cells.  ``|G v|^2``
+    adds the squared components in place in axis order, the bits of their ``np.sum``.
+    """
+    cells = _cell_layout(spec)[2]
+    full = _cell_gradient_nodal(v, spec)
     comps = full.reshape((spec.n,) + spec.shape)[cells].reshape(spec.n, -1)
     s = comps[0] * comps[0]
     for c in comps[1:]:

@@ -39,9 +39,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import (GridFunction, GridSpec, _component_sum, _require_zero_boundary, abs_power,
-                   cell_gradient_adjoint, cell_gradient_squared, cell_stencil,
-                   energy_sums)
+from .grid import (GridFunction, GridSpec, _cell_gradient_nodal, _cell_layout, _component_sum,
+                   _require_zero_boundary, abs_power, cell_gradient_adjoint,
+                   cell_gradient_squared, cell_stencil, energy_sums)
 
 __all__ = [
     "Problem",
@@ -213,39 +213,41 @@ class _HessianPattern:
 
     H is filled by stencil offset ``d`` from the centre on: array ``o`` of
     ``coef``, ``o`` the row-major index of ``d`` in ``{-1, 0, 1}^n`` less
-    the centre's, holds entry ``(r, r + d)`` at interior node ``r``.  Each
-    of ``adds``, ``(o, cells, k, op)`` for a corner pair ``i <= j`` with
+    the centre's, holds entry ``(r, r + d)`` at node ``r``, in the nodal
+    layout of :func:`~pschrod.grid._cell_layout`.  Each of ``adds``,
+    ``(o, start, k, op)`` for a corner pair ``i <= j`` with
     ``d = step_j - step_i``, applies ``op`` (``np.add`` or ``np.subtract``,
-    the sign of the pair) with the values of pair ``k`` on the cells whose
-    corner ``i`` is interior to array ``o``.  ``positions`` reads the CSR
-    data of H (``indices``, ``indptr``) out of ``coef``: H is symmetric, so
-    an entry at ``-d`` is read from array ``d`` at its column.
-    ``diagonal`` holds the data position of each diagonal entry.  Shared:
-    do not mutate.
+    the sign of the pair) with the values of pair ``k`` to
+    ``coef[o, start:]``, ``start`` the node offset of corner ``i``.
+    ``positions`` reads the CSR data of H (``indices``, ``indptr``) out of
+    ``coef`` at interior nodes: H is symmetric, so an entry at ``-d`` is
+    read from array ``d`` at its column.  Shared: do not mutate.
     """
 
     signs: np.ndarray
     pairs: np.ndarray
     overlap: np.ndarray
     scale: float
-    adds: tuple[tuple[int, tuple[slice, ...], int, np.ufunc], ...]
+    adds: tuple[tuple[int, int, int, np.ufunc], ...]
     positions: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    diagonal: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     """The :class:`_HessianPattern` of ``spec``, built once per grid and cached.
 
-    The adds run in decreasing order of corner ``i``; the cell with node
-    ``r`` at corner ``i`` is ``r - step_i``, so each entry sums its cells
-    in increasing order.  The CSR structure takes two passes over the
-    offsets, each on the box of interior nodes with an interior neighbour.
+    The adds run in decreasing order of corner ``i``; at node ``r`` corner
+    ``i`` reads cell ``r - offsets[i]``, so each entry sums its cells in
+    increasing order.  At an interior ``r`` that is a cell, so the entries
+    off the cells reach only nodes that ``positions`` never reads.  The CSR
+    structure takes two passes over the offsets, each on the box of
+    interior nodes with an interior neighbour.
     """
     n, m = spec.n, spec.m
     steps, coeffs = cell_stencil(spec)
+    offsets = _cell_layout(spec)[0]
     corners = coeffs.shape[1]
     half = corners // 2
     group = np.minimum(np.arange(corners), corners - 1 - np.arange(corners))
@@ -257,93 +259,105 @@ def _hessian_pattern(spec: GridSpec) -> _HessianPattern:
     power = 3 ** np.arange(n - 1, -1, -1)
     adds = []
     for i in reversed(range(corners)):
-        cells = tuple(slice(1 - e, m - 1 - e) for e in steps[:, i])
         for j in range(i, corners):
             op = np.add if (i < half) == (j < half) else np.subtract
-            adds.append((int((steps[:, j] - steps[:, i]) @ power), cells,
+            adds.append((int((steps[:, j] - steps[:, i]) @ power), int(offsets[i]),
                          int(pair_index[group[i], group[j]]), op))
 
     size = (m - 2) ** n
-    node = np.arange(size).reshape((m - 2,) * n)
+    local = np.arange(size).reshape((m - 2,) * n)
+    node = np.arange(spec.num_nodes).reshape(spec.shape)[(slice(1, m - 1),) * n]
     stride = (m - 2) ** np.arange(n - 1, -1, -1)
+    node_stride = m ** np.arange(n - 1, -1, -1)
     # per offset d in row-major order, the interior nodes whose neighbour r + d is interior
     boxes = [(np.array(d), tuple(slice(max(0, -e), m - 2 - max(0, e)) for e in d))
              for d in itertools.product((-1, 0, 1), repeat=n)]
-    slot = np.zeros(node.shape, dtype=np.int32)
+    slot = np.zeros(local.shape, dtype=np.int32)
     for _, box in boxes:
         slot[box] += 1
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(slot, out=indptr[1:])
-    slot = indptr[:-1].reshape(node.shape).copy()  # the next data position of each row
+    slot = indptr[:-1].reshape(local.shape).copy()  # the next data position of each row
     indices = np.empty(indptr[-1], dtype=np.int32)
     positions = np.empty(indptr[-1], dtype=np.intp)  # the index type a gather reads uncast
     for d, box in boxes:
-        at = slot[box].copy()
-        row, o = node[box], int(d @ power)
-        col = row + int(d @ stride)
-        indices[at] = col
-        positions[at] = abs(o) * size + (row if o >= 0 else col)
-        if o == 0:
-            diagonal = at.ravel()
+        at = slot[box]
+        o = int(d @ power)
+        indices[at] = local[box] + int(d @ stride)
+        row = node[box]
+        positions[at] = abs(o) * spec.num_nodes + (row if o >= 0 else row + int(d @ node_stride))
         slot[box] += 1
     pattern = _HessianPattern(
         signs=signs, pairs=np.stack([a, b], axis=1), overlap=np.sum(signs[a] * signs[b], axis=1),
         scale=spec.h**n * (coeffs[0, 0] * coeffs[0, 0]), adds=tuple(adds), positions=positions,
-        indices=indices, indptr=indptr, diagonal=diagonal,
+        indices=indices, indptr=indptr,
     )
-    for arr in (signs, pattern.pairs, pattern.overlap, positions, indices, indptr, diagonal):
+    for arr in (signs, pattern.pairs, pattern.overlap, positions, indices, indptr):
         arr.flags.writeable = False
     return pattern
 
 
-def _hessian_interior(v: np.ndarray, prob: Problem) -> sp.csr_matrix:
-    """``h^n G_int^T K G_int + diag`` on interior nodes, K the per-cell n x n weights.
+def _hessian_interior(v: np.ndarray, prob: Problem) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``H = h^n G_int^T K G_int + diag`` on interior nodes, and its line band.
 
-    Regularized at gradient level ``prob.eps_reg``; at p = 2 every
-    eps-dependent factor is raised to the power 0, so eps has no effect.
+    K, the per-cell n x n weight, is regularized at gradient level
+    ``prob.eps_reg``; at p = 2 every eps-dependent factor is raised to the
+    power 0, so eps has no effect.
 
     Filled into the cached pattern of the grid (:class:`_HessianPattern`)
     from one value per cell and pair of corner groups, by elementwise
-    products, one strided slab add per corner pair and stencil offset, and
+    products, one shifted slice add per corner pair and stencil offset, and
     one gather: no dense BLAS call.  Every stored entry is kept, also one
     that sums to exactly zero.
+
+    Interior nodes are numbered with the last axis fastest, so each grid
+    line along it is a run of ``m - 2`` unknowns, and H on a line is
+    tridiagonal.  The band is H on the lines in upper banded form, read
+    from the fill: the centre array at interior nodes and, above it, the
+    array of offset ``+1`` on the last axis less each line's last entry,
+    which couples to the boundary.
     """
     spec, p, eps = prob.spec, prob.p, prob.eps_reg
     pattern = _hessian_pattern(spec)
-    comps, s = cell_gradient_squared(v, spec)
+    size = _cell_layout(spec)[1]
+    xi = _cell_gradient_nodal(v, spec)[:, :size]
+    s = _component_sum((xi * xi).T)
     s += eps * eps
     w1 = s ** ((p - 2.0) / 2.0)
     # p = 2 has no second term; skipping it avoids 0 * inf where s = 0
     w2 = (p - 2.0) * s ** ((p - 4.0) / 2.0) if p != 2.0 else np.zeros_like(s)
     # y[g] = signs[g] . xi per cell, by adds and subtracts of the components
-    y = np.empty((pattern.signs.shape[0], s.size))
+    y = np.empty((pattern.signs.shape[0], size))
     for g, sign in enumerate(pattern.signs):
-        np.multiply(comps[0], sign[0], out=y[g])
+        np.multiply(xi[0], sign[0], out=y[g])
         for axis in range(1, spec.n):
             if sign[axis] > 0:
-                y[g] += comps[axis]
+                y[g] += xi[axis]
             else:
-                y[g] -= comps[axis]
+                y[g] -= xi[axis]
     w2y = w2 * y
-    del comps, s, w2
-    values = np.empty((pattern.pairs.shape[0], y.shape[1]))
+    del xi, s, w2
+    values = np.empty((pattern.pairs.shape[0], size))
     for k, (a, b) in enumerate(pattern.pairs):
         np.multiply(w2y[a], y[b], out=values[k])
         if pattern.overlap[k] != 0.0:
             values[k] += pattern.overlap[k] * w1
     del w1, w2y, y
     values *= pattern.scale
-    values = values.reshape((-1,) + (spec.m - 1,) * spec.n)
-    size = pattern.indptr.size - 1
-    coef = np.zeros(((3**spec.n + 1) // 2, size))
-    slabs = coef.reshape((-1,) + (spec.m - 2,) * spec.n)
-    for o, cells, k, op in pattern.adds:
-        op(slabs[o], values[k][cells], out=slabs[o])
+    coef = np.zeros(((3**spec.n + 1) // 2, spec.num_nodes))
+    for o, start, k, op in pattern.adds:
+        acc = coef[o, start:start + size]
+        op(acc, values[k], out=acc)
     del values
-    nodal = spec.weights() * prob.V.values * (p - 1.0) * (v * v + eps * eps) ** ((p - 2.0) / 2.0)
-    coef[0] += nodal[~spec.boundary_mask()]
+    coef[0] += spec.weights() * prob.V.values * (p - 1.0) * (v * v + eps * eps) ** ((p - 2.0) / 2.0)
+    lines = coef[:2].reshape((2,) + spec.shape)[(Ellipsis,) + (slice(1, spec.m - 1),) * spec.n]
+    band = np.zeros(lines.shape)
+    band[1] = lines[0]
+    band[0][..., 1:] = lines[1][..., :-1]
+    band = band.reshape(2, -1)
     data = coef.ravel()[pattern.positions]
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
+    shape = (band.shape[1],) * 2
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=shape), band
 
 
 # ---------------------------------------------------------------------------
@@ -368,37 +382,14 @@ def _flush_subnormals(x: np.ndarray) -> None:
     np.copyto(x, 0.0, where=np.abs(x) < _TINY)
 
 
-def _line_band(H: sp.csr_matrix, spec: GridSpec) -> np.ndarray:
-    """H restricted to the grid lines along the last axis, in upper banded form.
-
-    Interior nodes are numbered with the last axis fastest, so each line is
-    a run of ``m - 2`` consecutive unknowns.  The stencil couples only nodes
-    that share a cell, so H on one line is tridiagonal; the superdiagonal
-    entry that would couple the last node of a line to the first of the
-    next is zero, which leaves exactly the line blocks.
-
-    H must be filled into the pattern of ``spec`` (:func:`_hessian_interior`):
-    the band is read from ``H.data`` at the pattern's diagonal positions.
-    The columns of a CSR row are sorted and neighbours on a line share a
-    cell, so where node ``i + 1`` is on the line of node ``i`` the entry
-    right after ``(i, i)`` in the data is ``(i, i + 1)``.
-    """
-    diagonal = _hessian_pattern(spec).diagonal.reshape(-1, spec.m - 2)
-    band = np.zeros((2, H.shape[0]))
-    band[1] = H.data[diagonal.ravel()]
-    band[0].reshape(diagonal.shape)[:, 1:] = H.data[1:][diagonal[:, :-1]]
-    return band
-
-
-def _line_preconditioner(H: sp.csr_matrix, spec: GridSpec):
-    """Exact solve with the line blocks of H (:func:`_line_band`), as ``r -> x``.
+def _line_preconditioner(band: np.ndarray):
+    """Exact solve with the line blocks of H in ``band`` (:func:`_hessian_interior`), as ``r -> x``.
 
     The blocks are tridiagonal principal submatrices of H, hence SPD; they
-    are factored once as ``L D L^T`` by LAPACK ``dpttrf``.  Subnormal
-    entries of each solution are flushed to 0 (:func:`_flush_subnormals`)
-    before CG multiplies with it.
+    are factored once as ``L D L^T`` by LAPACK ``dpttrf``, in place of
+    ``band``.  Subnormal entries of each solution are flushed to 0
+    (:func:`_flush_subnormals`) before CG multiplies with it.
     """
-    band = _line_band(H, spec)
     # the last max(size - 1, 1) entries: the superdiagonal, or for one unknown
     # the zero band[0, 0], since LAPACK wants an (unread) entry there too
     e = band[0, 1 - band.shape[1]:]
@@ -417,19 +408,19 @@ def _line_preconditioner(H: sp.csr_matrix, spec: GridSpec):
 
 
 def _newton_solve(
-    H: sp.csr_matrix, rhs: np.ndarray, spec: GridSpec, rtol: float
+    H: sp.csr_matrix, band: np.ndarray, rhs: np.ndarray, rtol: float
 ) -> tuple[np.ndarray, int]:
     """Solve the SPD system ``H x = rhs`` on interior nodes; return x and the CG count.
 
     Conjugate gradients from x = 0 to relative residual ``rtol``,
-    preconditioned with exact solves on the line blocks of H
+    preconditioned with exact solves on the line blocks of H, ``band``
     (:func:`_line_preconditioner`).  In 1D the one line is all of H and a
     single step is exact, whatever ``rtol``.  Every CG iterate started from
     0 is a descent direction for a Newton system with rhs = -gradient, so a
     loose ``rtol`` still gives a step the line search accepts.
     """
     precondition = spla.LinearOperator(
-        H.shape, matvec=_line_preconditioner(H, spec), dtype=np.float64
+        H.shape, matvec=_line_preconditioner(band), dtype=np.float64
     )
     count = 0
 
@@ -475,9 +466,9 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
     spec = prob.spec
     interior = ~spec.boundary_mask()
     v0 = np.zeros(spec.num_nodes)
-    H = _hessian_interior(v0, replace(prob, p=2.0))
+    H, band = _hessian_interior(v0, replace(prob, p=2.0))
     rhs = (spec.weights() * prob.f.values)[interior]
-    v0[interior], _ = _newton_solve(H, rhs, spec, _CG_RTOL)
+    v0[interior], _ = _newton_solve(H, band, rhs, _CG_RTOL)
     return v0
 
 
@@ -548,7 +539,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         if iterations >= prob.max_iters:
             break
 
-        H = _hessian_interior(v, prob)
+        H, band = _hessian_interior(v, prob)
         g_int = g[interior]
         g_norm = float(np.linalg.norm(g_int))
         if converged or prob.p == 2.0:
@@ -559,7 +550,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
             rtol = min(max(0.9 * (g_norm / g_norm_prev) ** 2, _CG_RTOL), _ETA_MAX)
         g_norm_prev = g_norm
         try:
-            d_int, cg_steps = _newton_solve(H, -g_int, spec, rtol)
+            d_int, cg_steps = _newton_solve(H, band, -g_int, rtol)
         except np.linalg.LinAlgError:
             # a line block of H that is not positive definite (its diagonal
             # underflowed) leaves no step: stop as if the line search ran out

@@ -315,8 +315,9 @@ def run_verify(
     """
     chosen = list(SUITE_NAMES) if suites is None else list(suites)
     unknown = [s for s in chosen if s not in _SUITES]
-    if unknown:
-        raise ValueError(f"unknown suites: {unknown}; known: {list(SUITE_NAMES)}")
+    if unknown or not chosen:
+        raise ValueError(f"suites must name at least one of {list(SUITE_NAMES)}, "
+                         f"got {chosen}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"seed": seed, "suites": {}}

@@ -25,13 +25,15 @@ BASE_SOLVE = {
 
 def test_solve_zero_datum(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", BASE_SOLVE)
-    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "out")]
+    code = main(argv)
     assert code == 0
     u = load_grid_function(tmp_path / "out" / "u")
     assert u.max_abs() == 0.0
     assert "converged=True" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["p"] == 2.0
+    assert manifest["argv"] == argv  # not the argv of the process that called main
     assert "wall_time_s" in manifest
 
 
@@ -65,6 +67,18 @@ def test_solve_gaussian_datum(tmp_path):
     # a positive datum centred at x = 1 gives a positive solution peaking near 1
     assert u.values.min() >= 0.0 and u.max_abs() > 0.0
     assert abs(u.spec.axis_coords()[np.argmax(u.values)] - 1.0) <= 2 * u.spec.h
+    # the center defaults to the origin of the grid's dimension
+    outputs = []
+    for name, center in (("origin", {"center": [0, 0]}), ("default", {})):
+        cfg = write_config(
+            tmp_path, f"{name}.json",
+            {**BASE_SOLVE, "grid": {"n": 2, "L": 4.0, "m": 9},
+             "datum": {"kind": "gaussian", "width": 1.0, "height": 2.0, **center}},
+        )
+        out = tmp_path / name
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("u.bin", "u.json", "solve.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_rejects_p_below_two(tmp_path, capsys):
@@ -176,8 +190,10 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, con
         ("solve", {**BASE_SOLVE, "datum": {"kind": "sum", "terms": [1.0]}},
          "datum term must be a JSON object"),
         ("verify", {"seed": 1, "suites": "monotonicity"}, "suites must be a list"),
+        ("verify", {"seed": 1, "suites": []}, "suites must name at least one"),
     ],
-    ids=["scheme-list", "grid-int", "terms-object", "term-number", "suites-string"],
+    ids=["scheme-list", "grid-int", "terms-object", "term-number", "suites-string",
+         "suites-empty"],
 )
 def test_config_block_of_wrong_type_is_config_error(tmp_path, capsys, command, config,
                                                     message):

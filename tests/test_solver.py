@@ -33,7 +33,6 @@ from pschrod.solver import (
     _gradient_arrays,
     _hessian_interior,
     _hessian_pattern,
-    _line_band,
     _line_preconditioner,
     _newton_solve,
     energy,
@@ -181,7 +180,7 @@ def test_hessian_matches_finite_difference_of_gradient(n, m, p, rng):
     interior = np.flatnonzero(~spec.boundary_mask())
     v = np.zeros(spec.num_nodes)
     v[interior] = rng.standard_normal(interior.size)
-    H = _hessian_interior(v, prob).toarray()
+    H = _hessian_interior(v, prob)[0].toarray()
     delta = 1e-6
     fd = np.empty_like(H)
     for col, node in enumerate(interior):
@@ -367,9 +366,9 @@ def test_newton_solve_matches_direct_solve(n, m, p, rng):
     # at p = 2, v = 0 gives the matrix of the linear warm start
     if p != 2.0:
         v[~spec.boundary_mask()] = rng.standard_normal(int(np.sum(~spec.boundary_mask())))
-    H = _hessian_interior(v, prob)
+    H, band = _hessian_interior(v, prob)
     rhs = rng.standard_normal(H.shape[0])
-    x, count = _newton_solve(H, rhs, spec, 1e-10)
+    x, count = _newton_solve(H, band, rhs, 1e-10)
     exact = spla.spsolve(H.tocsc(), rhs)
     assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
     if n == 1:
@@ -385,8 +384,7 @@ def test_line_band_is_the_line_blocks_of_the_hessian(n, rng):
     interior = ~prob.spec.boundary_mask()
     v = np.zeros(prob.spec.num_nodes)
     v[interior] = rng.standard_normal(int(np.sum(interior)))
-    H = _hessian_interior(v, prob)
-    band = _line_band(H, prob.spec)
+    H, band = _hessian_interior(v, prob)
     dense = H.toarray()
     line = np.arange(dense.shape[0]) // (m - 2)
     breaks = line[1:] != line[:-1]
@@ -404,12 +402,12 @@ def test_line_band_reads_the_diagonals_of_the_hessian(n, m, rng):
     interior = ~prob.spec.boundary_mask()
     v = np.zeros(prob.spec.num_nodes)
     v[interior] = rng.standard_normal(int(np.sum(interior)))
-    H = _hessian_interior(v, prob)
+    H, band = _hessian_interior(v, prob)
     expected = np.zeros((2, H.shape[0]))
     expected[1] = H.diagonal()
     expected[0, 1:] = H.diagonal(1)
     expected[0, ::m - 2] = 0.0
-    assert _line_band(H, prob.spec).tobytes() == expected.tobytes()
+    assert band.tobytes() == expected.tobytes()
 
 
 def _spgemm_hessian(v, prob, G):
@@ -440,7 +438,7 @@ def test_hessian_matches_sparse_product_assembly(n, m, p, flat, rng, kronecker_g
     v = np.zeros(spec.num_nodes)
     if not flat:
         v[interior] = rng.standard_normal(int(np.sum(interior)))
-    H = _hessian_interior(v, prob)
+    H, _ = _hessian_interior(v, prob)
     oracle = _spgemm_hessian(v, prob, kronecker_gradient(spec)).tocsr()
     assert H.has_canonical_format
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
@@ -459,7 +457,7 @@ def test_hessian_matches_sparse_product_assembly_past_int32_keys(rng, kronecker_
     assert np.sum(interior) ** 2 > np.iinfo(np.int32).max
     v = np.zeros(prob.spec.num_nodes)
     v[interior] = rng.standard_normal(int(np.sum(interior)))
-    H = _hessian_interior(v, prob)
+    H, _ = _hessian_interior(v, prob)
     oracle = _spgemm_hessian(v, prob, kronecker_gradient(prob.spec))
     assert H.has_canonical_format and H.nnz == oracle.nnz
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
@@ -470,7 +468,7 @@ def test_hessian_pattern_keeps_entries_that_cancel(kronecker_gradient):
     # sparse products drop those exact zeros
     prob = _trap_problem(2, 17, 2.0)
     v = np.zeros(prob.spec.num_nodes)
-    H = _hessian_interior(v, prob)
+    H, _ = _hessian_interior(v, prob)
     oracle = _spgemm_hessian(v, prob, kronecker_gradient(prob.spec))
     assert (H.nnz, oracle.nnz) == (1849, 1009)
     assert abs(H - oracle).max() <= 1e-14 * abs(oracle).max()
@@ -524,7 +522,7 @@ def test_1d_hessian_bytes_match_outer_product_fill(m, p, flat, rng):
     tridiagonal = sp.diags(
         [KM[1:-1, 1, 0], diagonal, KM[1:-1, 0, 1]], [-1, 0, 1], format="csr"
     )
-    H = _hessian_interior(v, prob)
+    H, _ = _hessian_interior(v, prob)
     assert np.array_equal(H.indptr, tridiagonal.indptr)
     assert np.array_equal(H.indices, tridiagonal.indices)
     assert H.data.tobytes() == tridiagonal.data.tobytes()
@@ -583,7 +581,7 @@ def test_nd_hessian_bytes_match_cell_order_fill(n, m, p, flat, rng):
         stored[entries] = True
     reference[np.diag_indices(size)] += (spec.weights() * prob.V.values * (p - 1.0)
                                          * (v * v + eps * eps) ** ((p - 2.0) / 2.0))[interior]
-    H = _hessian_interior(v, prob)
+    H, _ = _hessian_interior(v, prob)
     assert H.has_canonical_format
     rows = np.repeat(np.arange(size), np.diff(H.indptr))
     assert np.array_equal(sp.coo_matrix((np.ones(H.nnz), (rows, H.indices)),
@@ -593,7 +591,7 @@ def test_nd_hessian_bytes_match_cell_order_fill(n, m, p, flat, rng):
 
 def test_hessian_pattern_memory_on_3d_grid():
     # per stored entry a column (4 bytes) and a position in the offset
-    # arrays (8 bytes): 8.9 MiB here
+    # arrays (8 bytes): 8.7 MiB here
     spec = GridSpec(3, 2.0, 33)
     cell_stencil(spec)
     tracemalloc.start()
@@ -608,7 +606,7 @@ def test_hessian_pattern_memory_on_3d_grid():
 
 def test_hessian_fill_memory_on_cached_pattern(rng):
     # a fill holds the (pairs, cells) group values with the offset arrays,
-    # then the offset arrays with the CSR data: 9.2 MiB here
+    # then the offset arrays with the line band and the CSR data: 10.0 MiB here
     prob = _trap_problem(3, 33, 3.0)
     interior = ~prob.spec.boundary_mask()
     v = np.zeros(prob.spec.num_nodes)
@@ -630,20 +628,21 @@ def test_line_preconditioner_matches_banded_cholesky(n, m, rng):
     interior = ~prob.spec.boundary_mask()
     v = np.zeros(prob.spec.num_nodes)
     v[interior] = rng.standard_normal(int(np.sum(interior)))
-    H = _hessian_interior(v, prob)
+    H, band = _hessian_interior(v, prob)
     r = rng.standard_normal(H.shape[0])
-    x = _line_preconditioner(H, prob.spec)(r)
-    exact = cho_solve_banded((cholesky_banded(_line_band(H, prob.spec)), False), r)
+    # before the preconditioner factors the band in place
+    exact = cho_solve_banded((cholesky_banded(band), False), r)
+    x = _line_preconditioner(band)(r)
     assert x.shape == r.shape
     assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_line_preconditioner_rejects_indefinite_line_block():
     prob = _trap_problem(2, 4, 2.0)
-    H = _hessian_interior(np.zeros(prob.spec.num_nodes), prob)
-    H.data[_hessian_pattern(prob.spec).diagonal[2]] = -1.0
+    _, band = _hessian_interior(np.zeros(prob.spec.num_nodes), prob)
+    band[1, 2] = -1.0
     with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        _line_preconditioner(H, prob.spec)
+        _line_preconditioner(band)
 
 
 def test_1d_newton_steps_take_one_cg_iteration():
@@ -702,9 +701,9 @@ def test_newton_systems_use_eisenstat_walker_forcing_terms(p, monkeypatch):
     w = prob.spec.weights()[~prob.spec.boundary_mask()]
     calls = []  # (|rhs|_2, residual sup-norm, rtol) of every linear solve
 
-    def recording(H, rhs, spec, rtol):
+    def recording(H, band, rhs, rtol):
         calls.append((np.linalg.norm(rhs), np.max(np.abs(rhs / w)), rtol))
-        return _newton_solve(H, rhs, spec, rtol)
+        return _newton_solve(H, band, rhs, rtol)
 
     monkeypatch.setattr(solver, "_newton_solve", recording)
     res = solve(prob)
@@ -815,9 +814,9 @@ def test_solve_keeps_subnormals_out_of_the_iterate(wells_tail_solve):
 def test_line_preconditioner_output_has_no_subnormals(wells_tail_solve):
     prob, res = wells_tail_solve
     spec = prob.spec
-    H = _hessian_interior(res.u.values, prob)
+    H, band = _hessian_interior(res.u.values, prob)
     r = -_gradient_arrays(res.u.values, prob)[~spec.boundary_mask()]
-    z = _line_preconditioner(H, spec)(r)
+    z = _line_preconditioner(band)(r)
     assert _subnormal_count(z) == 0
     # the LAPACK solve alone leaves subnormals, and z is it with them set to 0
     d, e, _ = dpttrf(H.diagonal(), H.diagonal(1))
