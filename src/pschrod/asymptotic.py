@@ -72,8 +72,8 @@ class ExponentP:
 
 def _as_p(p) -> float:
     val = float(p)
-    if not val >= 1:
-        raise ValueError(f"exponent p must be >= 1, got {p!r}")
+    if not 1 <= val < np.inf:
+        raise ValueError(f"exponent p must be finite and >= 1, got {p!r}")
     return val
 
 

@@ -44,7 +44,7 @@ from .potentials import (
     sample_potential,
     sparse_wells,
 )
-from .presets import fixed_bumps, manufactured_p2_datum, translating_bumps, two_bump
+from .presets import fixed_bumps, gaussian, manufactured_p2_datum, translating_bumps, two_bump
 from .solver import Problem, solve
 from .verify import SUITE_NAMES, run_verify
 
@@ -204,12 +204,7 @@ def _gaussian(spec: GridSpec, width: float, height: float, center=None):
     center = (0.0,) * spec.n if center is None else center
     if len(center) != spec.n:
         raise ConfigError(f"datum center must have {spec.n} components")
-
-    def term(*coords):
-        d2 = sum((np.asarray(c, dtype=float) - c0) ** 2 for c, c0 in zip(coords, center))
-        return height * np.exp(-d2 / width**2)
-
-    return term
+    return gaussian(center, width, height)
 
 
 GAUSSIAN = {

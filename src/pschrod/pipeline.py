@@ -315,8 +315,8 @@ class SchemeConfig:
         ks = tuple(float(k) for k in self.k_list)
         if not ks:
             raise ValueError("k_list must be nonempty")
-        if not all(k > 0 for k in ks):
-            raise ValueError(f"k_list levels must be positive, got {list(ks)}")
+        if not all(0 < k < np.inf for k in ks):
+            raise ValueError(f"k_list levels must be positive and finite, got {list(ks)}")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("k_list must be strictly increasing")
         labels = [f"{k:g}" for k in ks]  # each level's name in the artifacts

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -79,19 +79,7 @@ class ConfinementReport:
     sub_resolution_wells: tuple[int, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "R_grid": list(self.R_grid),
-            "bad_measures": list(self.bad_measures),
-            "total_bad_measure": self.total_bad_measure,
-            "classically_confining": self.classically_confining,
-            "violation_witness": None if self.violation_witness is None
-            else list(self.violation_witness),
-            "kappa": self.kappa,
-            "gamma": self.gamma,
-            "label": self.label,
-            "grid": self.grid,
-            "sub_resolution_wells": list(self.sub_resolution_wells),
-        }
+        return asdict(self)
 
 
 def polynomial_trap(gamma: float) -> Potential:
@@ -100,9 +88,6 @@ def polynomial_trap(gamma: float) -> Potential:
     Pointwise ``V > |x|^gamma``, so every bad set is empty: the trap is
     classically confining.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-
     def evaluator(*coords):
         r2 = sum(np.asarray(c, dtype=np.float64) ** 2 for c in coords)
         return 1.0 + r2 ** (gamma / 2.0)
@@ -118,8 +103,6 @@ def sparse_wells(gamma: float) -> Potential:
     of wells, of finite total volume), but not classically confining: every
     radius R0 leaves some well center beyond it.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
     k_max = 40  # the last well, centred at 2^40: beyond any desk-scale box
 
     def evaluator(*coords):

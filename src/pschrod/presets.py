@@ -4,7 +4,9 @@ The standard pipeline lives on ``[-8, 8]`` and feeds a two-bump integrable
 datum (peaks 12 and 4, so every level in {1, 2, 4, 8, 16} genuinely
 truncates) into the quadratic-growth trap ``V = 1 + x^2``.  Each experiment
 that more than one caller runs (the small scheme, the localized-identity
-case, the translating-bumps family) is defined here once.
+case, the translating-bumps family) is defined here once, and every
+built-in Gaussian, the CLI's ``gaussian`` and ``sum`` data included, is a
+:func:`gaussian` field.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from .potentials import Potential, polynomial_trap, sample_potential
 from .solver import Problem
 
 __all__ = [
+    "gaussian",
     "two_bump",
     "two_bump_datum",
     "standard_grid",
     "standard_potential",
-    "standard_problem_factory",
+    "standard_problem",
     "small_scheme",
     "identity_case",
-    "bump",
     "translating_bumps",
     "fixed_bumps",
     "manufactured_p2_solution",
@@ -33,18 +35,34 @@ __all__ = [
 ]
 
 
+def gaussian(center, width: float, height: float):
+    """The field ``height * exp(-|x - center|^2 / width^2)`` of ``len(center)`` coordinates.
+
+    The exponent sums ``((x_a - c_a) / width) ** 2`` over the axes in order,
+    so a field and a sum of fields have the same bits wherever they are
+    built.  A call with a number of coordinates other than ``len(center)``
+    raises ``ValueError``.
+    """
+    center = tuple(center)
+
+    def field(*coords):
+        if len(coords) != len(center):
+            raise ValueError(
+                f"gaussian centred at {list(center)} takes {len(center)} coordinates, "
+                f"got {len(coords)}"
+            )
+        return height * np.exp(-sum(((x - c) / width) ** 2 for x, c in zip(coords, center)))
+
+    return field
+
+
+_LEFT_BUMP = gaussian((-2.5,), 0.4, 12.0)
+_RIGHT_BUMP = gaussian((3.0,), 0.6, 4.0)
+
+
 def two_bump(x):
     """Integrable 1D datum with peaks 12 (at -2.5) and 4 (at +3)."""
-    return 12.0 * np.exp(-(((x + 2.5) / 0.4) ** 2)) + 4.0 * np.exp(
-        -(((x - 3.0) / 0.6) ** 2)
-    )
-
-
-def bump(center: float, width: float, height: float):
-    def f(x):
-        return height * np.exp(-(((x - center) / width) ** 2))
-
-    return f
+    return _LEFT_BUMP(x) + _RIGHT_BUMP(x)
 
 
 def _bump_family(spec: GridSpec, centers, width: float, height: float,
@@ -52,7 +70,7 @@ def _bump_family(spec: GridSpec, centers, width: float, height: float,
     if spec.n != 1:
         raise ValueError(f"{label} family is one-dimensional")
     return FunctionFamily(
-        tuple(sample(spec, bump(c, width, height)) for c in centers), label=label
+        tuple(sample(spec, gaussian((c,), width, height)) for c in centers), label=label
     )
 
 
@@ -84,22 +102,19 @@ def two_bump_datum(spec: GridSpec) -> GridFunction:
     return sample(spec, two_bump)
 
 
-def manufactured_p2_solution(x):
-    return np.exp(-(x**2))
+manufactured_p2_solution = gaussian((0.0,), 1.0, 1.0)
 
 
 def manufactured_p2_datum(x):
     """Datum whose p = 2 solution with V = 1 is exp(-x^2) on the line."""
-    return (3.0 - 4.0 * x**2) * np.exp(-(x**2))
+    return (3.0 - 4.0 * x**2) * manufactured_p2_solution(x)
 
 
-def standard_problem_factory(p: float, m: int = 257):
-    """(Problem, datum) builder for the standard trap + two-bump experiment."""
+def standard_problem(p: float, m: int = 257) -> Problem:
+    """The standard trap + two-bump experiment at resolution m."""
     spec = standard_grid(m=m)
     V = sample_potential(standard_potential(), spec)
-    f = two_bump_datum(spec)
-    prob = Problem(spec=spec, p=p, V=V, f=f)
-    return prob, f
+    return Problem(spec=spec, p=p, V=V, f=two_bump_datum(spec))
 
 
 def small_scheme(p: float, regularizer=regularize_datum) -> SchemeResult:
@@ -109,16 +124,11 @@ def small_scheme(p: float, regularizer=regularize_datum) -> SchemeResult:
     return run_scheme(f, standard_potential(), p, cfg, regularizer=regularizer)
 
 
-def identity_case(p: float):
-    """``make_case(m) -> (Problem, phi)`` for the localized-identity study.
+def identity_case(p: float, m: int) -> tuple[Problem, GridFunction]:
+    """(Problem, phi) for the localized-identity study.
 
     The standard problem at resolution m, tested against a bump of height
     0.6 at x = 1 (zero on the boundary).
     """
-
-    def make_case(m: int):
-        prob, _ = standard_problem_factory(p, m=m)
-        phi = zero_boundary(sample(prob.spec, bump(1.0, 0.5, 0.6)))
-        return prob, phi
-
-    return make_case
+    prob = standard_problem(p, m=m)
+    return prob, zero_boundary(sample(prob.spec, gaussian((1.0,), 0.5, 0.6)))

@@ -39,7 +39,7 @@ from .potentials import bad_set_measure_mc, confinement_report, sparse_wells
 from .presets import (
     identity_case,
     small_scheme,
-    standard_problem_factory,
+    standard_problem,
     translating_bumps,
     two_bump_datum,
 )
@@ -232,8 +232,7 @@ def _suite_compactness(rng: np.random.Generator, scheme=small_scheme) -> dict:
 
 def _suite_localized_identity(rng: np.random.Generator) -> dict:
     p, t, alpha = 3.0, 0.3, 1.2
-    make_case = identity_case(p)
-    cases = [make_case(m) for m in (65, 129, 257)]
+    cases = [identity_case(p, m) for m in (65, 129, 257)]
     checks = [identity_defect(solve(prob), prob, phi, alpha, t) for prob, phi in cases]
     defects = [defect for defect, _ in checks]
     supp_all = all(supp_ok for _, supp_ok in checks)
@@ -261,8 +260,7 @@ def _suite_uniqueness(rng: np.random.Generator, scheme=small_scheme) -> dict:
         res_canonical.solutions[k_first].u, res_mollified.solutions[k_first].u, 2.0
     )
 
-    prob, _ = standard_problem_factory(3.0, m=129)
-    prob = replace(prob, tol_residual=1e-9)
+    prob = replace(standard_problem(3.0, m=129), tol_residual=1e-9)
     zero0 = GridFunction(prob.spec, np.zeros(prob.spec.num_nodes))
     rand0 = zero_boundary(
         GridFunction(prob.spec, 0.5 * rng.standard_normal(prob.spec.num_nodes))

@@ -123,6 +123,13 @@ def test_dist_spec_mismatch():
         lambda_dist(u, v, 2.0)
 
 
+def test_dist_rejects_infinite_p():
+    # d(u, u) = 0 is defined only for a finite exponent
+    u = sample(GridSpec(1, 1.0, 5), lambda x: x)
+    with pytest.raises(ValueError, match="finite"):
+        lambda_dist(u, u, np.inf)
+
+
 def test_triangle_inequality_random(rng):
     spec = GridSpec(1, 4.0, 65)
     for _ in range(10_000):
@@ -314,6 +321,8 @@ def test_exponent_type():
     assert float(e) == 3.0
     with pytest.raises(ValueError):
         ExponentP(0.5)
+    with pytest.raises(ValueError):
+        ExponentP(np.inf)
     with pytest.raises(ValueError):
         ExponentP(1.5, degenerate_ok=True)
     with pytest.raises(ValueError):

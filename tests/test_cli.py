@@ -81,6 +81,24 @@ def test_solve_gaussian_datum(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_solve_sum_of_two_bump_terms_is_two_bump(tmp_path):
+    # one Gaussian builds both data, so the spelled-out sum has two_bump's bits
+    terms = [{"center": -2.5, "width": 0.4, "height": 12.0},
+             {"center": 3.0, "width": 0.6, "height": 4.0}]
+    outputs = []
+    for name, datum in (("two_bump", {"kind": "two_bump"}),
+                        ("sum", {"kind": "sum", "terms": terms})):
+        cfg = write_config(
+            tmp_path, f"{name}.json",
+            {**BASE_SOLVE, "p": 3.0, "potential": {"kind": "polynomial_trap", "gamma": 2.0},
+             "datum": datum},
+        )
+        out = tmp_path / name
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("u.bin", "solve.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_solve_rejects_p_below_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {**BASE_SOLVE, "p": 1.5})
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -13,7 +13,7 @@ from pschrod.compactness import (
     translation_defect,
 )
 from pschrod.grid import GridFunction, GridSpec, integrate, sample
-from pschrod.presets import bump, small_scheme, translating_bumps, two_bump_datum
+from pschrod.presets import gaussian, small_scheme, translating_bumps, two_bump_datum
 
 
 def test_shift_lattice_snaps_and_rejects():
@@ -99,7 +99,7 @@ def translating_family():
 def test_kr_fixed_bumps_all_decaying():
     spec = GridSpec(1, 8.0, 257)
     fam = FunctionFamily(
-        tuple(sample(spec, bump(c, 0.4, 1.5)) for c in (-1.0, 0.0, 1.5)),
+        tuple(sample(spec, gaussian((c,), 0.4, 1.5)) for c in (-1.0, 0.0, 1.5)),
         label="fixed bumps",
     )
     rep = kr_report(
@@ -161,7 +161,7 @@ def test_ark_translates_tail_hypothesis_fails(translating_family):
 
 def test_ark_single_bump_passes():
     spec = GridSpec(1, 8.0, 257)
-    fam = FunctionFamily((sample(spec, bump(0.0, 0.5, 1.0)),), label="single")
+    fam = FunctionFamily((sample(spec, gaussian((0.0,), 0.5, 1.0)),), label="single")
     rep = ark_check(fam, 2.0, K_grid=[0.5, 1.0, 2.0], eps=0.3)
     assert all(v == DECAYING for v in rep.verdicts.values())
     assert np.isfinite(rep.ark_bound)
@@ -174,20 +174,20 @@ def test_ark_rejects_bad_q(translating_family):
 
 def test_epsilon_net_singleton():
     spec = GridSpec(1, 4.0, 65)
-    fam = FunctionFamily((sample(spec, bump(0.0, 0.5, 1.0)),))
+    fam = FunctionFamily((sample(spec, gaussian((0.0,), 0.5, 1.0)),))
     assert epsilon_net(fam, 2.0, 0.1) == [0]
 
 
 def test_epsilon_net_identical_members():
     spec = GridSpec(1, 4.0, 65)
-    u = sample(spec, bump(0.0, 0.5, 1.0))
+    u = sample(spec, gaussian((0.0,), 0.5, 1.0))
     fam = FunctionFamily((u, u, u, u))
     assert epsilon_net(fam, 2.0, 0.1) == [0]
 
 
 def test_epsilon_net_separated_bumps_need_everyone():
     spec = GridSpec(1, 8.0, 257)
-    members = tuple(sample(spec, bump(c, 0.3, 1.0)) for c in (-4.0, -1.0, 2.0, 5.0))
+    members = tuple(sample(spec, gaussian((c,), 0.3, 1.0)) for c in (-4.0, -1.0, 2.0, 5.0))
     fam = FunctionFamily(members)
     eps = 0.05
     pairwise = min(

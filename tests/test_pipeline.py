@@ -21,7 +21,7 @@ from pschrod.pipeline import (
 )
 from pschrod.potentials import bad_set_measure, polynomial_trap, sample_potential
 from pschrod.presets import (
-    bump,
+    gaussian,
     identity_case,
     manufactured_p2_datum,
     small_scheme,
@@ -210,8 +210,17 @@ def test_truncation_perturbation_support(rng):
         assert np.all(big.values[phi.values == 0.0] == 0.0)
 
 
+def test_gaussian_needs_one_center_component_per_coordinate():
+    x = np.linspace(-1.0, 1.0, 5)
+    on_axis = gaussian((0.0, 0.0), 1.0, 2.0)(x, 0.0 * x)
+    assert on_axis.tolist() == gaussian((0.0,), 1.0, 2.0)(x).tolist()
+    # a short center must not give a ridge constant along the missing axis
+    with pytest.raises(ValueError, match="takes 1 coordinates, got 2"):
+        gaussian((0.0,), 1.0, 2.0)(x, x)
+
+
 def test_identity_preconditions():
-    prob, phi = identity_case(2.0)(65)
+    prob, phi = identity_case(2.0, 65)
     res = solve(prob)
     with pytest.raises(ValueError, match="alpha"):
         identity_defect(res, prob, phi, alpha=0.8, t=0.3)
@@ -222,11 +231,10 @@ def test_identity_preconditions():
 
 def test_identity_defect_halves_with_h():
     # the verify suite runs m = 65, 129, 257; this is the next refinement step
-    make_case = identity_case(3.0)
     alpha, t = 1.2, 0.3
     defects = []
     for m in (129, 257, 513):
-        prob, phi = make_case(m)
+        prob, phi = identity_case(3.0, m)
         defect, supp_ok = identity_defect(solve(prob), prob, phi, alpha, t)
         assert supp_ok
         defects.append(defect)
@@ -235,13 +243,12 @@ def test_identity_defect_halves_with_h():
 
 
 def test_identity_budget_freezes_and_passes():
-    make_case = identity_case(3.0)
     alpha, t = 1.2, 0.3
-    coarse, phi = make_case(65)
+    coarse, phi = identity_case(3.0, 65)
     defect, _ = identity_defect(solve(coarse), coarse, phi, alpha, t)
     c_budget = identity_budget(defect, coarse, t)
     for m in (129, 257):
-        prob, phi = make_case(m)
+        prob, phi = identity_case(3.0, m)
         rep = check_localized_identity(solve(prob), prob, phi, alpha, t, c_budget)
         assert rep.passed
         assert rep.context["supp_contained"] is True
@@ -257,14 +264,14 @@ def test_distributional_residual_zero_psi(small_case):
 def test_distributional_residual_rejects_misshaped_gradient(small_case):
     # a flat (m,) gradient would broadcast against the (m, 1) test gradient
     prob, _, res = small_case
-    psi = zero_boundary(sample(prob.spec, bump(0.5, 0.7, 1.0)))
+    psi = zero_boundary(sample(prob.spec, gaussian((0.5,), 0.7, 1.0)))
     with pytest.raises(ValueError, match="shape"):
         distributional_residual(res.u, gradient(res.u).ravel(), prob, psi)
 
 
 def test_distributional_residual_linear_in_psi(small_case):
     prob, _, res = small_case
-    psi = zero_boundary(sample(prob.spec, bump(0.5, 0.7, 1.0)))
+    psi = zero_boundary(sample(prob.spec, gaussian((0.5,), 0.7, 1.0)))
     grad = gradient(res.u)
     one = distributional_residual(res.u, grad, prob, psi)
     two = distributional_residual(res.u, grad, prob, 2.0 * psi)
@@ -279,7 +286,7 @@ def test_distributional_residual_manufactured_second_order():
         f = sample(spec, manufactured_p2_datum)
         prob = Problem(spec=spec, p=ExponentP(2.0, degenerate_ok=True), V=V, f=f)
         res = solve(prob)
-        psi = zero_boundary(sample(spec, bump(0.0, 1.0, 1.0)))
+        psi = zero_boundary(sample(spec, gaussian((0.0,), 1.0, 1.0)))
         vals.append(distributional_residual(res.u, gradient(res.u), prob, psi))
     assert vals[0] / vals[1] >= 3.0
 
@@ -301,7 +308,7 @@ def test_scheme_config_rejects_nonpositive_or_non_finite_levels(name, bad):
         SchemeConfig(k_list=(1.0,), **grids)
 
 
-@pytest.mark.parametrize("k_list", [(1.0, 2.0, np.nan), (0.0, 1.0), (-1.0, 2.0)])
+@pytest.mark.parametrize("k_list", [(1.0, 2.0, np.nan), (0.0, 1.0), (-1.0, 2.0), (1.0, np.inf)])
 def test_scheme_config_rejects_nonpositive_or_nan_levels(k_list):
     with pytest.raises(ValueError, match="must be positive"):
         SchemeConfig(k_list=k_list, t_grid=(1.0,))

@@ -22,7 +22,7 @@ from pschrod.potentials import sample_potential, sparse_wells
 from pschrod.presets import (
     manufactured_p2_datum,
     manufactured_p2_solution,
-    standard_problem_factory,
+    standard_problem,
     two_bump_datum,
 )
 from pschrod import solver
@@ -270,7 +270,7 @@ def test_manufactured_p4_refinement():
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
 def test_energy_trace_nonincreasing(p):
-    prob, _ = standard_problem_factory(p, m=129)
+    prob = standard_problem(p, m=129)
     res = solve(prob)
     trace = np.asarray(res.energy_trace)
     assert np.all(np.diff(trace) <= 0.0)
@@ -279,7 +279,7 @@ def test_energy_trace_nonincreasing(p):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_uniqueness_from_two_starts(p, rng):
-    prob, _ = standard_problem_factory(p, m=129)
+    prob = standard_problem(p, m=129)
     prob = Problem(
         spec=prob.spec, p=prob.p, V=prob.V, f=prob.f, tol_residual=1e-9,
     )
@@ -294,7 +294,7 @@ def test_uniqueness_from_two_starts(p, rng):
 
 
 def test_non_convergence_is_flagged():
-    prob, _ = standard_problem_factory(4.0, m=129)
+    prob = standard_problem(4.0, m=129)
     prob = Problem(
         spec=prob.spec, p=prob.p, V=prob.V, f=prob.f, max_iters=2,
         tol_residual=1e-12,
@@ -311,13 +311,13 @@ def test_continuation_in_p_stops_on_an_indefinite_line_block():
     # Hessian underflows to 0 on a grid line and that line block is singular
     u, steps = None, []
     for p in [2.0, 3.0, 4.0, 6.0, 8.0, 12.0]:
-        prob, _ = standard_problem_factory(p)
+        prob = standard_problem(p)
         res = solve(prob, u0=u)
         assert res.converged
         steps.append(res.iterations)
         u = res.u
     assert steps == [2, 12, 10, 21, 16, 17]
-    prob, _ = standard_problem_factory(16.0)
+    prob = standard_problem(16.0)
     res = solve(prob, u0=u)
     assert not res.converged
     assert res.iterations < prob.max_iters
@@ -326,7 +326,7 @@ def test_continuation_in_p_stops_on_an_indefinite_line_block():
 
 
 def test_boundary_values_exactly_zero():
-    prob, _ = standard_problem_factory(3.0, m=129)
+    prob = standard_problem(3.0, m=129)
     res = solve(prob)
     assert np.all(res.u.values[prob.spec.boundary_mask()] == 0.0)
 
@@ -646,7 +646,7 @@ def test_line_preconditioner_rejects_indefinite_line_block():
 
 
 def test_1d_newton_steps_take_one_cg_iteration():
-    prob, _ = standard_problem_factory(3.0, m=129)
+    prob = standard_problem(3.0, m=129)
     res = solve(prob)
     assert res.converged
     assert res.linear_iterations == (1,) * res.iterations
