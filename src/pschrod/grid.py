@@ -240,11 +240,14 @@ def sample(spec: GridSpec, field: Callable) -> GridFunction:
     numpy expressions get the fast path.  A field that rejects arrays with
     ``TypeError`` or ``ValueError``, or returns the wrong shape, is sampled
     by a per-node loop instead, with a ``RuntimeWarning``; any other
-    exception propagates.
+    exception propagates.  A field that fails on the first node as well
+    raises that node's error, chained from the vectorized call's, and
+    does not warn.
     """
     pts = spec.node_coords()
     cols = [np.ascontiguousarray(pts[:, a]) for a in range(spec.n)]
     vals = None
+    array_error = None
     try:
         with np.errstate(all="ignore"):
             out = field(*cols)
@@ -253,17 +256,22 @@ def sample(spec: GridSpec, field: Callable) -> GridFunction:
             vals = out
         elif out.shape == ():
             vals = np.full(spec.num_nodes, float(out))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
         # what scalar-only code (math.*, ``if x > 0``) raises on arrays
-        vals = None
+        array_error = exc
     if vals is None:
+        vals = np.empty(spec.num_nodes)
+        try:
+            vals[0] = float(field(*pts[0]))
+        except Exception as exc:
+            # the field is broken, not scalar-only: its own error, not a warning
+            raise exc from array_error
         warnings.warn(
             f"field is not vectorized; sampling it node by node on {spec.num_nodes} nodes",
             RuntimeWarning,
             stacklevel=2,
         )
-        vals = np.empty(spec.num_nodes)
-        for i in range(spec.num_nodes):
+        for i in range(1, spec.num_nodes):
             vals[i] = float(field(*pts[i]))
     return GridFunction(spec, vals)
 

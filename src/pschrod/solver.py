@@ -365,7 +365,7 @@ def _hessian_interior(v: np.ndarray, prob: Problem) -> tuple[sp.csr_matrix, np.n
 
 # CG tolerance where the Newton step must be exact: every p = 2 solve (one
 # exact step minimizes a quadratic energy), the p = 2 warm start and the
-# polish steps; also the floor of the forcing terms
+# polish step; also the floor of the forcing terms
 _CG_RTOL = 1e-10
 _ETA_MAX = 1e-4  # forcing term of the first Newton step and cap of every later one
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double, 2^-1022
@@ -474,22 +474,20 @@ def _linear_warm_start(prob: Problem) -> np.ndarray:
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACK = 60
-_POLISH_STEPS = 6
 
 
 def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     """Minimize the discrete energy by damped Newton with line search.
 
-    Deterministic for fixed inputs.  Stops once the sup-norm of the
-    unregularized residual drops below ``prob.tol_residual``, then keeps
-    taking Newton steps while each one still improves the residual by a
-    factor of ten (at most a handful), so the returned iterate sits
-    essentially on the minimizer.  When the iteration cap is hit first, the
-    best iterate is returned with ``converged=False``; it is never a
-    silent success.  A Newton matrix with a line block that is not
-    positive definite ends the iteration like an exhausted line search:
-    the current iterate is returned, converged only if its residual is
-    within tolerance.  The start is ``u0`` (zeroed on the boundary; the
+    Deterministic for fixed inputs.  Once the sup-norm of the unregularized
+    residual drops below ``prob.tol_residual``, takes exactly one more Newton
+    step, solved to ``1e-10`` (none if the residual is exactly 0), and stops,
+    so the returned iterate sits essentially on the minimizer.  When the
+    iteration cap is hit first, the best iterate is returned with
+    ``converged=False``; it is never a silent success.  A Newton matrix
+    with a line block that is not positive definite ends the iteration like
+    an exhausted line search: the current iterate is returned, converged
+    only if its residual is within tolerance.  The start is ``u0`` (zeroed on the boundary; the
     scheme passes the previous level's solution), else 0 for p = 2 and the
     p = 2 companion solution for p > 2.  The iterate holds no subnormal
     number: entries below 2^-1022 in magnitude are set to 0 in the start
@@ -499,7 +497,7 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     residual of an Eisenstat-Walker forcing term (choice 2, gamma = 0.9,
     alpha = 2): ``1e-4`` on the first step, then ``0.9 (|g_k| / |g_k-1|)^2``
     clipped to ``[1e-10, 1e-4]``, with ``g_k`` the interior gradient of
-    step k.  The polish steps and every p = 2 solve take ``1e-10``.
+    step k.  The polish step and every p = 2 solve take ``1e-10``.
     """
     spec = prob.spec
     boundary = spec.boundary_mask()
@@ -519,8 +517,6 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
     trace = [_energy_arrays(v, prob)]
     iterations = 0
     linear_iterations = []
-    polish_left = _POLISH_STEPS
-    polish_prev = np.inf
     converged = False
     g_norm_prev = None
 
@@ -529,13 +525,12 @@ def solve(prob: Problem, u0: GridFunction | None = None) -> SolveResult:
         g[boundary] = 0.0
         rsup = float(np.max(np.abs(g / spec.weights())))
         if rsup <= prob.tol_residual:
-            converged = True
-            # polish: keep stepping while Newton still gains a decade, so the
-            # returned iterate sits on the minimizer, not just inside tol
-            if rsup == 0.0 or polish_left == 0 or rsup > polish_prev / 10.0:
+            # polish: one exact Newton step after the first residual within
+            # tol, so the returned iterate sits on the minimizer
+            if converged or rsup == 0.0:
+                converged = True
                 break
-            polish_prev = rsup
-            polish_left -= 1
+            converged = True
         if iterations >= prob.max_iters:
             break
 

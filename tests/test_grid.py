@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pschrod.grid import (
     save_grid_function,
     zero_boundary,
 )
+from pschrod.presets import gaussian
 
 
 def test_spec_validation():
@@ -107,6 +109,17 @@ def test_sample_propagates_other_errors():
 
     with pytest.raises(RuntimeError, match="backend failed"):
         sample(GridSpec(1, 1.0, 5), field)
+
+
+def test_sample_raises_a_broken_fields_error_without_warning():
+    # a 1D Gaussian on a 2D grid fails on the arrays and on the first node
+    # alike: its own error surfaces, not the "not vectorized" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="takes 1 coordinates, got 2") as info:
+            sample(GridSpec(2, 1.0, 5), gaussian((0.0,), 1.0, 1.0))
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "takes 1 coordinates, got 2" in str(info.value.__cause__)
 
 
 def test_gradient_constant_is_zero():
