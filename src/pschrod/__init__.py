@@ -57,7 +57,6 @@ from .pipeline import (
     check_superlevel_bound,
     check_tail_bound,
     distributional_residual,
-    identity_defect,
     mollify_datum,
     regularize_datum,
     run_scheme,

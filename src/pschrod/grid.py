@@ -2,8 +2,7 @@
 
 The whole package computes on ``[-L, L]^n`` (n = 1, 2, 3) discretized by
 ``m`` equally spaced nodes per axis.  A :class:`GridFunction` is a flat
-row-major array of nodal samples; its nodal gradient is an ``(m**n, n)``
-array with one column per axis.  Integrals are tensor-product trapezoid
+row-major array of nodal samples.  Integrals are tensor-product trapezoid
 sums, so all quadrature weights are positive and one-sided inequality
 checks stay one-sided.  Annulus integrals mask whole nodes (no cell clipping); the
 induced O(h) geometric error is absorbed by report tolerances downstream.
@@ -11,6 +10,9 @@ The cell-centred gradient is defined once, by the stencil table
 :func:`cell_stencil`; G v (:func:`cell_gradient_squared`), G^T w
 (:func:`cell_gradient_adjoint`) and the solver's Hessian fill read it, no
 matrix of G is stored, and :func:`energy_sums` gives the X-norm sums.
+The solver and every estimate check use G.  The nodal central-difference
+:func:`gradient`, an ``(m**n, n)`` array with one column per axis, serves
+only the ark bound's ``|grad f|`` in :mod:`pschrod.compactness`.
 Positive powers of grid data go through :func:`abs_power`, which keeps
 libm off its slow underflow path on decaying solutions.
 

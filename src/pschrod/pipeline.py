@@ -13,18 +13,17 @@ radius R and pair k < l:
 
 The localized identity, an entropy-type identity with test perturbation
 ``T_t(T_a(u) - phi) - T_t(T_a(u))``, is not part of the scheme: the
-``localized_identity`` suite of :mod:`pschrod.verify` checks it under
-refinement, and :func:`check_localized_identity` reports it for one
-solution.
+``localized_identity`` suite of :mod:`pschrod.verify` checks it on three
+grids, and :func:`check_localized_identity` reports it for one solution.
 
-Energy norms of truncations (energy, stability and the convergence
-records) are :func:`~pschrod.asymptotic.x_norm_p` of ``T_t u``, which
-takes the solver's own cell gradient G, so they measure the quantity the
-solver minimizes.  The localized identity and the distributional residual
-keep the nodal central difference, with chain-rule masking on the strict set
-``{|u| < a}`` (ties get mask zero).  The infinite limit object is replaced
-by the highest-k solve; all convergence records against it carry the
-caveat "finite-sequence surrogate".
+Every check uses the solver's own cell gradient G.  Energy norms of
+truncations (energy, stability and the convergence records) are
+:func:`~pschrod.asymptotic.x_norm_p` of ``T_t u``, so they measure the
+quantity the solver minimizes; the localized identity and the
+distributional residual pair the solver's weak form ``J'`` with the test
+function.  The infinite limit object is replaced by the highest-k solve;
+all convergence records against it carry the caveat "finite-sequence
+surrogate".
 """
 
 from __future__ import annotations
@@ -48,17 +47,14 @@ from .asymptotic import (
 from .grid import (
     GridFunction,
     GridSpec,
-    _component_sum,
     _require_zero_boundary,
-    abs_power,
     energy_sums,
-    gradient,
     integrate,
     save_grid_function,
     write_json,
 )
 from .potentials import Potential, bad_set_measure, sample_potential
-from .solver import MAX_ITERS, Problem, SolveResult, pflux, solve
+from .solver import MAX_ITERS, Problem, SolveResult, residual, solve
 
 __all__ = [
     "SchemeConfig",
@@ -70,9 +66,7 @@ __all__ = [
     "check_stability",
     "check_superlevel_bound",
     "truncation_perturbation",
-    "identity_defect",
     "check_localized_identity",
-    "identity_budget",
     "distributional_residual",
     "run_scheme",
     "save_scheme_result",
@@ -208,20 +202,20 @@ def truncation_perturbation(
     return GridFunction(u.spec, vals)
 
 
-def identity_defect(
+def check_localized_identity(
     res: SolveResult, prob: Problem, phi: GridFunction, alpha: float, t: float
-) -> tuple[float, bool]:
-    """Residual of the localized identity and the node-level support check.
+) -> EstimateReport:
+    """The localized identity for the solution ``res`` of ``prob``.
 
-    Returns ``(defect, supp_ok)`` where ``defect`` is the absolute gap in
-
-        int |grad T_a u|^(p-2) grad T_a u . grad Phi
-        + int V |T_a u|^(p-2) T_a u Phi  =  int f Phi
-
-    (the :func:`distributional_residual` of ``T_a u`` tested against Phi)
-    with ``Phi = truncation_perturbation(u, phi, alpha, t)``, and
-    ``supp_ok`` confirms supp(Phi) is contained in supp(phi) node by node.
-    Requires ``alpha > t + max|phi|``.
+    With ``Phi = truncation_perturbation(res.u, phi, alpha, t)`` the
+    identity reads ``<J'(T_a u), Phi> = 0``.  The lhs is the
+    :func:`distributional_residual` of ``T_a u`` tested against Phi, the
+    rhs ``res.residual_sup * ||Phi||_1``.
+    Phi vanishes wherever ``|u| >= alpha``, so ``T_a u = u`` around its
+    support and the rhs bounds the lhs, unless u jumps by more than
+    ``alpha - t - max|phi|`` between neighbouring nodes.  The context's
+    ``supp_contained`` confirms supp(Phi) lies in supp(phi) node by node.
+    Requires phi zero on the boundary, ``t > 0`` and ``alpha > t + max|phi|``.
     """
     _require_zero_boundary(phi, "phi")
     if not t > 0:
@@ -230,69 +224,24 @@ def identity_defect(
         raise ValueError(
             f"alpha must exceed t + max|phi| = {t + phi.max_abs():g}, got {alpha!r}"
         )
-    u = res.u
-    big_phi = truncation_perturbation(u, phi, alpha, t)
+    big_phi = truncation_perturbation(res.u, phi, alpha, t)
     supp_ok = bool(np.all(big_phi.values[phi.values == 0.0] == 0.0))
-    grad_ta = gradient(u) * (np.abs(u.values) < alpha)[:, None]
-    return distributional_residual(truncate(u, alpha), grad_ta, prob, big_phi), supp_ok
-
-
-def _identity_scale(prob: Problem, t: float) -> float:
-    return t * (1.0 + integrate(prob.f.abs()))
-
-
-def check_localized_identity(
-    res: SolveResult, prob: Problem, phi: GridFunction, alpha: float, t: float,
-    c_budget: float
-) -> EstimateReport:
-    """Compare the identity defect against the budget ``c_budget * h * scale``.
-
-    The identity is exact in the continuum; the budget quantifies the
-    discretization error.  Calibrate ``c_budget`` once per experiment with
-    :func:`identity_budget` and keep it frozen across refinements.
-    """
-    defect, supp_ok = identity_defect(res, prob, phi, alpha, t)
-    rhs = c_budget * prob.spec.h * _identity_scale(prob, t)
+    lhs = distributional_residual(truncate(res.u, alpha), prob, big_phi)
+    rhs = res.residual_sup * integrate(big_phi.abs())
     return EstimateReport(
-        "localized_identity", defect, rhs, REPORT_TOL,
-        _base_context(prob, t=t, alpha=alpha, c_budget=c_budget,
-                      supp_contained=supp_ok),
+        "localized_identity", lhs, rhs, REPORT_TOL,
+        _base_context(prob, t=t, alpha=alpha, supp_contained=supp_ok),
     )
 
 
-def identity_budget(defect: float, prob: Problem, t: float) -> float:
-    """Freeze a budget constant from the identity defect of one coarse solve.
+def distributional_residual(u: GridFunction, prob: Problem, psi: GridFunction) -> float:
+    """``|<J'(u), psi>|``: the solver's discrete weak form tested against psi.
 
-    ``defect`` is the :func:`identity_defect` of the solution of ``prob``
-    at level ``t``.  The returned constant is ``2 * defect / (h * scale)``;
-    reports at finer resolutions then pass exactly when the defect decays
-    at least linearly in h relative to the coarse run.
-    """
-    return 2.0 * defect / (prob.spec.h * _identity_scale(prob, t))
-
-
-def distributional_residual(
-    u: GridFunction, grad: np.ndarray, prob: Problem, psi: GridFunction
-) -> float:
-    """Absolute defect of the distributional equation tested against psi.
-
-    ``grad`` is a nodal gradient of u, laid out as :func:`pschrod.grid.gradient`
-    returns it: shape ``(m**n, n)``.
+    The trapezoid integral of :func:`~pschrod.solver.residual` times psi;
+    psi must vanish on the boundary.
     """
     _require_zero_boundary(psi, "psi")
-    if np.shape(grad) != (u.spec.num_nodes, u.spec.n):
-        raise ValueError(f"gradient must have shape {(u.spec.num_nodes, u.spec.n)}")
-    p = prob.p
-    flux = pflux(grad, p)
-    kin = integrate(GridFunction(u.spec, _component_sum(flux * gradient(psi))))
-    zero_order = integrate(
-        GridFunction(
-            u.spec,
-            prob.V.values * abs_power(u.values, p - 2.0) * u.values * psi.values,
-        )
-    )
-    source = integrate(GridFunction(u.spec, prob.f.values * psi.values))
-    return abs(kin + zero_order - source)
+    return abs(integrate(GridFunction(u.spec, residual(u, prob).values * psi.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +298,6 @@ class SchemeResult:
     started_from: dict[float, float | None]
     caveat: str = FINITE_SEQUENCE_CAVEAT
 
-    @property
-    def reference_k(self) -> float | None:
-        return self.convergence["reference_k"]
-
     def failed_reports(self) -> list[EstimateReport]:
         return [r for r in self.reports if not r.passed]
 
@@ -390,7 +335,7 @@ def run_scheme(
     names, per level, the level it started from or reused (None: the
     default start).  Non-convergent levels are flagged and their reports
     omitted; when no level converges the result has no reports and no
-    reference level (``reference_k`` is None).
+    reference level (``convergence["reference_k"]`` is None).
     """
     for R in cfg.R_grid:
         _require_tail_radius(R, f.spec)

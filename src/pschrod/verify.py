@@ -34,7 +34,7 @@ from .compactness import (
 )
 from .grid import (GridFunction, GridSpec, _component_sum, integrate, row_blocks, write_json,
                    zero_boundary)
-from .pipeline import identity_budget, identity_defect, mollify_datum
+from .pipeline import check_localized_identity, mollify_datum
 from .potentials import bad_set_measure_mc, confinement_report, sparse_wells
 from .presets import (
     identity_case,
@@ -232,20 +232,12 @@ def _suite_compactness(rng: np.random.Generator, scheme=small_scheme) -> dict:
 
 def _suite_localized_identity(rng: np.random.Generator) -> dict:
     p, t, alpha = 3.0, 0.3, 1.2
-    cases = [identity_case(p, m) for m in (65, 129, 257)]
-    checks = [identity_defect(solve(prob), prob, phi, alpha, t) for prob, phi in cases]
-    defects = [defect for defect, _ in checks]
-    supp_all = all(supp_ok for _, supp_ok in checks)
-    ratios = [a / b for a, b in zip(defects, defects[1:])]
-    budget = identity_budget(defects[0], cases[0][0], t)
-    passed = supp_all and all(r >= 2.0 for r in ratios)
-    return {
-        "passed": passed,
-        "defects": defects,
-        "halving_ratios": ratios,
-        "support_contained": supp_all,
-        "frozen_budget_constant": budget,
-    }
+    reports = []
+    for m in (65, 129, 257):
+        prob, phi = identity_case(p, m)
+        reports.append(check_localized_identity(solve(prob), prob, phi, alpha, t))
+    passed = all(r.passed and r.context["supp_contained"] for r in reports)
+    return {"passed": passed, "reports": [r.to_dict() for r in reports]}
 
 
 def _suite_uniqueness(rng: np.random.Generator, scheme=small_scheme) -> dict:
