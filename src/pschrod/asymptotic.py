@@ -60,12 +60,6 @@ class ExponentP:
                 f"degenerate range requires p >= 2, got p = {self.p!r}"
             )
 
-    @property
-    def conjugate(self) -> float:
-        if self.p <= 1:
-            raise ValueError("conjugate exponent is defined only for p > 1")
-        return self.p / (self.p - 1.0)
-
     def __float__(self) -> float:
         return float(self.p)
 
@@ -114,13 +108,6 @@ class EstimateReport:
             "tol": self.tol,
             "context": self.context,
         }
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "EstimateReport":
-        return EstimateReport(
-            name=d["name"], lhs=d["lhs"], rhs=d["rhs"], tol=d["tol"],
-            context=dict(d.get("context", {})),
-        )
 
 
 def truncate(u: GridFunction, t: float) -> GridFunction:

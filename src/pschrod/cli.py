@@ -13,6 +13,7 @@ for identical configs; only the manifest carries timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -193,7 +194,7 @@ def _build_potential(block: dict, need_pair: bool = False) -> Potential:
         )
     kappa = args.pop("kappa", None)
     pot = _call(build, **args)
-    return pot if kappa is None else _call(pot.with_pair, kappa, pot.gamma)
+    return pot if kappa is None else _call(dataclasses.replace, pot, kappa=kappa)
 
 
 def _constant_datum(spec: GridSpec, value: float = 0.0) -> GridFunction:

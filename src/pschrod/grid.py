@@ -2,7 +2,9 @@
 
 The whole package computes on ``[-L, L]^n`` (n = 1, 2, 3) discretized by
 ``m`` equally spaced nodes per axis.  A :class:`GridFunction` is a flat
-row-major array of nodal samples.  Integrals are tensor-product trapezoid
+row-major array of nodal samples; :func:`sample` makes one from a field by
+a single call on the nodes' coordinate arrays, so a field is a numpy
+expression of them.  Integrals are tensor-product trapezoid
 sums, so all quadrature weights are positive and one-sided inequality
 checks stay one-sided.  Annulus integrals mask whole nodes (no cell clipping); the
 induced O(h) geometric error is absorbed by report tolerances downstream.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -235,47 +236,25 @@ def _component_sum(x: np.ndarray) -> np.ndarray:
 
 
 def sample(spec: GridSpec, field: Callable) -> GridFunction:
-    """Sample a pointwise function of n scalar coordinates at every node.
+    """Sample a field at every node by one call on the coordinate arrays.
 
-    ``field`` is called as ``field(x)``, ``field(x, y)`` or ``field(x, y, z)``.
-    A vectorized call with full coordinate arrays is attempted first; plain
-    numpy expressions get the fast path.  A field that rejects arrays with
-    ``TypeError`` or ``ValueError``, or returns the wrong shape, is sampled
-    by a per-node loop instead, with a ``RuntimeWarning``; any other
-    exception propagates.  A field that fails on the first node as well
-    raises that node's error, chained from the vectorized call's, and
-    does not warn.
+    ``field`` is called once as ``field(x)``, ``field(x, y)`` or
+    ``field(x, y, z)`` with the nodes' coordinate arrays, each of shape
+    ``(m**n,)``, under ``np.errstate(all="ignore")``.  It returns an array
+    of that shape, or a scalar, which is taken for every node; any other
+    shape raises ``ValueError``.  An exception the field raises propagates
+    as it is, and a non-finite value is rejected naming its node.
     """
     pts = spec.node_coords()
     cols = [np.ascontiguousarray(pts[:, a]) for a in range(spec.n)]
-    vals = None
-    array_error = None
-    try:
-        with np.errstate(all="ignore"):
-            out = field(*cols)
-        out = np.asarray(out, dtype=np.float64)
-        if out.shape == (spec.num_nodes,):
-            vals = out
-        elif out.shape == ():
-            vals = np.full(spec.num_nodes, float(out))
-    except (TypeError, ValueError) as exc:
-        # what scalar-only code (math.*, ``if x > 0``) raises on arrays
-        array_error = exc
-    if vals is None:
-        vals = np.empty(spec.num_nodes)
-        try:
-            vals[0] = float(field(*pts[0]))
-        except Exception as exc:
-            # the field is broken, not scalar-only: its own error, not a warning
-            raise exc from array_error
-        warnings.warn(
-            f"field is not vectorized; sampling it node by node on {spec.num_nodes} nodes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for i in range(1, spec.num_nodes):
-            vals[i] = float(field(*pts[i]))
-    return GridFunction(spec, vals)
+    with np.errstate(all="ignore"):
+        out = np.asarray(field(*cols), dtype=np.float64)
+    if out.shape == ():
+        out = np.full(spec.num_nodes, out)
+    elif out.shape != (spec.num_nodes,):
+        raise ValueError(f"field returned shape {out.shape}, expected {(spec.num_nodes,)} "
+                         f"or a scalar on grid {spec.describe()}")
+    return GridFunction(spec, out)
 
 
 def gradient(u: GridFunction) -> np.ndarray:

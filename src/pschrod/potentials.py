@@ -39,8 +39,8 @@ __all__ = [
 class Potential:
     """Evaluable field V >= 1 with its confinement candidate pair.
 
-    ``evaluator`` follows the same calling convention as
-    :func:`pschrod.grid.sample`: n scalar-or-array coordinate arguments.
+    ``evaluator`` follows the calling convention of :func:`pschrod.grid.sample`:
+    n coordinate arrays in; out, an array of their shape or a scalar.
     ``well_centers``/``well_radii`` are optional metadata used by the
     classical-confinement falsifier; empty for well-free potentials.
     """
@@ -57,10 +57,6 @@ class Potential:
             raise ValueError(f"kappa must be positive, got {self.kappa!r}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-
-    def with_pair(self, kappa: float, gamma: float) -> "Potential":
-        return Potential(self.evaluator, kappa, gamma, self.label,
-                         self.well_centers, self.well_radii)
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def constant_potential(value: float = 1.0, gamma: float = 1.0) -> Potential:
         raise ValueError("constant potential must be >= 1")
 
     def evaluator(*coords):
-        return np.full(np.shape(np.asarray(coords[0], dtype=float)), value)
+        return value
 
     return Potential(evaluator, kappa=1.0, gamma=gamma, label=f"constant({value:g})")
 
@@ -218,13 +214,6 @@ def _witness_from_wells(V: Potential, spec: GridSpec, R0: float):
     return None, None
 
 
-def _witness_from_nodes(V: Potential, spec: GridSpec, Vg: GridFunction, R0: float):
-    idx = np.flatnonzero(_in_bad_set(V, spec.radii(), Vg.values, R0))
-    if idx.size == 0:
-        return None
-    return tuple(float(x) for x in spec.node_coords()[int(idx[0])])
-
-
 def confinement_report(V: Potential, spec: GridSpec,
                        R_grid: list[float]) -> ConfinementReport:
     """Tabulate |E_R| over R_grid and try to falsify classical confinement.
@@ -243,14 +232,18 @@ def confinement_report(V: Potential, spec: GridSpec,
     if R_grid[-1] >= spec.L * math.sqrt(spec.n):
         raise ValueError("largest radius must lie inside the box")
 
-    Vg = sample_potential(V, spec)
-    bad = tuple(bad_set_measure(V, spec, R, Vg=Vg) for R in R_grid)
-    total = bad_set_measure(V, spec, 0.0, Vg=Vg)
+    # E_0, formed once: each E_R is its part with |x| >= R
+    r, w = spec.radii(), spec.weights()
+    below = _in_bad_set(V, r, sample_potential(V, spec).values, 0.0)
+    bad = tuple(float(np.sum(w[below & (r >= R)])) for R in R_grid)
+    total = float(np.sum(w[below]))
     R0 = R_grid[-1]
 
     witness, _ = _witness_from_wells(V, spec, R0)
     if witness is None and not V.well_centers:
-        witness = _witness_from_nodes(V, spec, Vg, R0)
+        idx = np.flatnonzero(below & (r >= R0))
+        if idx.size:
+            witness = tuple(float(x) for x in spec.node_coords()[int(idx[0])])
 
     sub_res = tuple(
         i for i, (c, rad) in enumerate(zip(V.well_centers, V.well_radii))

@@ -316,17 +316,13 @@ def test_weak_embedding_model_function():
 
 
 def test_exponent_type():
-    e = ExponentP(3.0)
-    assert e.conjugate == pytest.approx(1.5)
-    assert float(e) == 3.0
+    assert float(ExponentP(3.0)) == 3.0
     with pytest.raises(ValueError):
         ExponentP(0.5)
     with pytest.raises(ValueError):
         ExponentP(np.inf)
     with pytest.raises(ValueError):
         ExponentP(1.5, degenerate_ok=True)
-    with pytest.raises(ValueError):
-        _ = ExponentP(1.0).conjugate
 
 
 def test_estimate_report_invariants():
@@ -338,7 +334,6 @@ def test_estimate_report_invariants():
     assert d["pass"] is True and set(d) == {
         "name", "lhs", "rhs", "slack", "pass", "tol", "context",
     }
-    assert EstimateReport.from_dict(d).passed == rep.passed
     with pytest.raises(ValueError):
         EstimateReport("bad", lhs=np.inf, rhs=1.0, tol=0.0, context={})
 

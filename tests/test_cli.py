@@ -314,6 +314,31 @@ def test_confinement_requires_kappa_for_constant(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+KAPPA_TRAP = {
+    "grid": {"n": 1, "L": 10.0, "m": 101},
+    "potential": {"kind": "polynomial_trap", "gamma": 2.0},
+    "R_grid": [2, 4],
+}
+
+
+def test_confinement_kappa_override(tmp_path):
+    # with kappa = 2 the trap 1 + x^2 falls below 2 x^2 wherever |x| > 1
+    trap = {**KAPPA_TRAP["potential"], "kappa": 2.0}
+    cfg = write_config(tmp_path, "cfg.json", {**KAPPA_TRAP, "potential": trap})
+    assert main(["confinement", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "confinement.json").read_text())
+    assert report["kappa"] == 2.0 and report["gamma"] == 2.0
+    assert report["bad_measures"] == pytest.approx([16.2, 12.2], rel=1e-12)
+    assert report["classically_confining"] is False
+
+
+def test_confinement_kappa_override_must_be_positive(tmp_path, capsys):
+    trap = {**KAPPA_TRAP["potential"], "kappa": 0}
+    cfg = write_config(tmp_path, "cfg.json", {**KAPPA_TRAP, "potential": trap})
+    assert main(["confinement", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "kappa must be positive" in capsys.readouterr().err
+
+
 def test_compactness_translates(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "cfg.json",

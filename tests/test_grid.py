@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -81,27 +82,29 @@ def test_sample_rejects_non_finite():
         sample(GridSpec(1, 1.0, 5), lambda x: 1.0 / x)
 
 
-def test_sample_scalar_fallback():
-    # a field that cannot take arrays still samples correctly
-    def field(x):
-        return float(max(x, 0.0))
+def test_sample_calls_a_scalar_only_field_once_and_raises_its_error():
+    calls = []
 
-    with pytest.warns(RuntimeWarning, match="node by node"):
-        u = sample(GridSpec(1, 1.0, 5), field)
-    assert np.array_equal(u.values, [0.0, 0.0, 0.0, 0.5, 1.0])
+    def field(x, y):
+        calls.append(1)
+        return math.exp(-(x * x + y * y))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            sample(GridSpec(2, 1.0, 5), field)
+    assert len(calls) == 1
 
 
-def test_sample_math_exp_field_warns_and_samples():
-    spec = GridSpec(2, 1.0, 5)
-    with pytest.warns(RuntimeWarning, match="not vectorized"):
-        u = sample(spec, lambda x, y: math.exp(-(x * x + y * y)))
-    x = spec.node_coords()
-    assert np.allclose(u.values, np.exp(-np.sum(x**2, axis=1)), rtol=1e-15, atol=0)
+@pytest.mark.parametrize("shape", [(2,), (25, 1)], ids=["short", "column"])
+def test_sample_rejects_a_field_of_the_wrong_shape(shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            sample(GridSpec(2, 1.0, 5), lambda x, y: np.zeros(shape))
 
 
 def test_sample_propagates_other_errors():
-    # only TypeError/ValueError mean "scalar-only"; a real failure on the
-    # array call must not be retried node by node
     def field(x):
         if isinstance(x, np.ndarray):
             raise RuntimeError("vectorized backend failed")
@@ -111,15 +114,13 @@ def test_sample_propagates_other_errors():
         sample(GridSpec(1, 1.0, 5), field)
 
 
-def test_sample_raises_a_broken_fields_error_without_warning():
-    # a 1D Gaussian on a 2D grid fails on the arrays and on the first node
-    # alike: its own error surfaces, not the "not vectorized" warning
+def test_sample_raises_a_broken_fields_own_error_unchained():
+    # a 1D Gaussian on a 2D grid: its own error, with no warning and no cause
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="takes 1 coordinates, got 2") as info:
             sample(GridSpec(2, 1.0, 5), gaussian((0.0,), 1.0, 1.0))
-    assert isinstance(info.value.__cause__, ValueError)
-    assert "takes 1 coordinates, got 2" in str(info.value.__cause__)
+    assert info.value.__cause__ is None
 
 
 def test_gradient_constant_is_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -213,7 +214,7 @@ def one_shot_mc(V, spec, R, *, seed, samples):
 @pytest.mark.parametrize("pot", [
     sparse_wells(WELLS_GAMMA),
     # kappa = 2 makes the trap's bad set |x| > 1 nonempty
-    polynomial_trap(2.0).with_pair(2.0, 2.0),
+    dataclasses.replace(polynomial_trap(2.0), kappa=2.0),
 ], ids=["sparse_wells", "polynomial_trap"])
 def test_monte_carlo_blocks_match_one_shot(pot, n):
     spec = GridSpec(n, 5.0, 3)
@@ -268,5 +269,5 @@ def test_monte_carlo_accepts_integer_types():
 
 
 def test_potential_pair_validation():
-    with pytest.raises(ValueError):
-        polynomial_trap(2.0).with_pair(0.0, 2.0)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        dataclasses.replace(polynomial_trap(2.0), kappa=0.0)
