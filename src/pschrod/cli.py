@@ -45,7 +45,7 @@ from .potentials import (
     sample_potential,
     sparse_wells,
 )
-from .presets import fixed_bumps, gaussian, manufactured_p2_datum, translating_bumps, two_bump
+from .presets import fixed_bumps, gaussian, manufactured, translating_bumps, two_bump
 from .solver import Problem, solve
 from .verify import SUITE_NAMES, run_verify
 
@@ -242,7 +242,7 @@ DATA = {
     "gaussian": (_gaussian_datum, GAUSSIAN, ("width", "height")),
     "sum": (_sum_datum, {"terms": _list}, ("terms",)),
     "two_bump": (partial(_line_datum, "two_bump", two_bump), {}, ()),
-    "manufactured_p2": (partial(_line_datum, "manufactured_p2", manufactured_p2_datum), {}, ()),
+    "manufactured_p2": (lambda spec: sample(spec, manufactured(2.0, spec.n)[1]), {}, ()),
 }
 
 

@@ -400,7 +400,8 @@ def run_scheme(
     sub_box = reduce(np.logical_and.outer, [centre_in] * f.spec.n).ravel()
     conv_rows = []
     for k in good:
-        row = {"k": k, "lambda_dist_to_ref": lambda_dist(solutions[k].u, u_ref, p)}
+        row = {"k": k, "lambda_dist_to_ref":
+               float(pairwise[cfg.k_list.index(k), cfg.k_list.index(k_ref)])}
         row["trunc_xnorm_p_to_ref"] = {
             alpha: x_norm_p(truncate(solutions[k].u - u_ref, alpha), V_g, p)
             for alpha in cfg.alpha_grid

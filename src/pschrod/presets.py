@@ -4,9 +4,9 @@ The standard pipeline lives on ``[-8, 8]`` and feeds a two-bump integrable
 datum (peaks 12 and 4, so every level in {1, 2, 4, 8, 16} genuinely
 truncates) into the quadratic-growth trap ``V = 1 + x^2``.  Each experiment
 that more than one caller runs (the small scheme, the localized-identity
-case, the translating-bumps family) is defined here once, and every
-built-in Gaussian, the CLI's ``gaussian`` and ``sum`` data included, is a
-:func:`gaussian` field.
+case, the translating-bumps family, the manufactured solution for every p
+and n) is defined here once, and every built-in Gaussian, the CLI's
+``gaussian`` and ``sum`` data included, is a :func:`gaussian` field.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ __all__ = [
     "identity_case",
     "translating_bumps",
     "fixed_bumps",
-    "manufactured_p2_solution",
-    "manufactured_p2_datum",
+    "manufactured",
 ]
 
 
@@ -102,12 +101,22 @@ def two_bump_datum(spec: GridSpec) -> GridFunction:
     return sample(spec, two_bump)
 
 
-manufactured_p2_solution = gaussian((0.0,), 1.0, 1.0)
+def manufactured(p: float, n: int):
+    """``(u, f)``: the solution ``u = exp(-|x|^2)`` in n dimensions and its datum for V = 1.
 
+    ``f = -div(|grad u|^(p-2) grad u) + u^(p-1)`` in closed form,
+    ``(2^(p-1) r2^((p-2)/2) (n+p-2) + 1 - 2^p (p-1) r2^(p/2)) u^(p-1)``
+    with ``r2`` summed over the axes in order, so at p = 2, n = 1 it is
+    ``(3 - 4x^2) u`` to the bit.
+    """
+    u = gaussian((0.0,) * n, 1.0, 1.0)
 
-def manufactured_p2_datum(x):
-    """Datum whose p = 2 solution with V = 1 is exp(-x^2) on the line."""
-    return (3.0 - 4.0 * x**2) * manufactured_p2_solution(x)
+    def f(*coords):
+        r2 = sum(x**2 for x in coords)
+        return (2.0 ** (p - 1.0) * r2 ** ((p - 2.0) / 2.0) * (n + p - 2.0) + 1.0
+                - 2.0**p * (p - 1.0) * r2 ** (p / 2.0)) * u(*coords) ** (p - 1.0)
+
+    return u, f
 
 
 def standard_problem(p: float, m: int = 257) -> Problem:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pschrod.grid import sample, zero_boundary
 from pschrod.pipeline import SchemeConfig, run_scheme
-from pschrod.presets import standard_grid, standard_potential, two_bump_datum
+from pschrod.potentials import constant_potential, sample_potential
+from pschrod.presets import manufactured, standard_grid, standard_potential, two_bump_datum
+from pschrod.solver import Problem
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +59,16 @@ def kronecker_gradient():
     """The reference cell gradient: ``kronecker_gradient(spec)`` is G as CSR,
     built independently of ``pschrod.grid.cell_stencil``."""
     return _kronecker_cell_gradient
+
+
+def _manufactured_case(p, spec):
+    u, f = manufactured(p, spec.n)
+    V = sample_potential(constant_potential(), spec)
+    return Problem(spec=spec, p=p, V=V, f=sample(spec, f)), zero_boundary(sample(spec, u))
+
+
+@pytest.fixture(scope="session")
+def manufactured_case():
+    """``manufactured_case(p, spec)`` is ``(Problem, exact)``: the datum of
+    ``presets.manufactured`` with V = 1, and exp(-|x|^2) zeroed on the boundary."""
+    return _manufactured_case

@@ -15,11 +15,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from pschrod.asymptotic import ExponentP
 from pschrod.compactness import DECAYING, NOT_OBSERVED
-from pschrod.grid import GridSpec, sample, zero_boundary
-from pschrod.presets import manufactured_p2_datum, manufactured_p2_solution
-from pschrod.solver import Problem, solve
+from pschrod.grid import GridSpec
+from pschrod.solver import solve
 from pschrod.verify import run_verify
 
 VERIFY_SEED = 808
@@ -58,20 +56,16 @@ def _suite(verify_run, name):
     return json.loads((out / f"verify_{name}.json").read_text())
 
 
-def test_01_manufactured_convergence():
+def test_01_manufactured_convergence(manufactured_case):
     with criterion(1, "manufactured p=2 convergence under h-halving"):
         errors = {}
         for m in (129, 257, 513):
-            spec = GridSpec(1, 8.0, m)
-            V = sample(spec, lambda x: 1.0 + 0.0 * x)
-            f = sample(spec, manufactured_p2_datum)
-            prob = Problem(spec=spec, p=ExponentP(2.0, degenerate_ok=True), V=V, f=f)
+            prob, exact = manufactured_case(2.0, GridSpec(1, 8.0, m))
             start = time.perf_counter()
             res = solve(prob)
             elapsed = time.perf_counter() - start
             assert elapsed < 5.0, f"solve at m={m} took {elapsed:.2f}s"
             assert res.converged
-            exact = zero_boundary(sample(spec, manufactured_p2_solution))
             errors[m] = (res.u - exact).max_abs()
         assert errors[129] / errors[257] >= 3.0
         assert errors[257] / errors[513] >= 3.0

@@ -37,22 +37,24 @@ def test_solve_zero_datum(tmp_path, capsys):
     assert "wall_time_s" in manifest
 
 
-def test_solve_manufactured_error_law(tmp_path):
-    errors = {}
-    for m in (129, 257):
-        cfg = write_config(
-            tmp_path, f"cfg{m}.json",
-            {**BASE_SOLVE, "grid": {"n": 1, "L": 8.0, "m": m},
-             "datum": {"kind": "manufactured_p2"}},
-        )
-        out = tmp_path / f"out{m}"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        u = load_grid_function(out / "u")
-        x = u.spec.axis_coords()
-        exact = np.exp(-(x**2))
-        exact[0] = exact[-1] = 0.0
-        errors[m] = float(np.max(np.abs(u.values - exact)))
+def _manufactured_error(tmp_path, manufactured_case, grid):
+    """Sup error of the CLI's p = 2 ``manufactured_p2`` solve on ``grid``."""
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**BASE_SOLVE, "grid": grid, "datum": {"kind": "manufactured_p2"}})
+    out = tmp_path / f"out{grid['n']}-{grid['m']}"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    u = load_grid_function(out / "u")
+    return (u - manufactured_case(2.0, u.spec)[1]).max_abs()
+
+
+def test_solve_manufactured_error_law(tmp_path, manufactured_case):
+    errors = {m: _manufactured_error(tmp_path, manufactured_case, {"n": 1, "L": 8.0, "m": m})
+              for m in (129, 257)}
     assert errors[129] / errors[257] >= 3.0
+
+
+def test_solve_manufactured_datum_in_2d(tmp_path, manufactured_case):
+    assert _manufactured_error(tmp_path, manufactured_case, {"n": 2, "L": 4.0, "m": 65}) <= 1e-2
 
 
 def test_solve_gaussian_datum(tmp_path):

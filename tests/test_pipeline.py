@@ -23,8 +23,6 @@ from pschrod.potentials import bad_set_measure, polynomial_trap, sample_potentia
 from pschrod.presets import (
     gaussian,
     identity_case,
-    manufactured_p2_datum,
-    manufactured_p2_solution,
     small_scheme,
     standard_grid,
     standard_potential,
@@ -242,21 +240,17 @@ def test_identity_budget_freezes_and_passes():
         assert rep.context["supp_contained"] is True
 
 
-def test_identity_defect_halves_with_h():
+def test_identity_defect_halves_with_h(manufactured_case):
     # at the sampled exact solution the identity's defect is the weak
     # form's consistency error, which at least halves per refinement
     defects = []
     for m in (129, 257, 513):
-        spec = GridSpec(1, 8.0, m)
-        V = sample(spec, lambda x: 1.0 + 0.0 * x)
-        f = sample(spec, manufactured_p2_datum)
-        prob = Problem(spec=spec, p=ExponentP(2.0, degenerate_ok=True), V=V, f=f)
+        prob, u = manufactured_case(2.0, GridSpec(1, 8.0, m))
         exact = SolveResult(
-            u=zero_boundary(sample(spec, manufactured_p2_solution)),
-            iterations=0, residual_sup=0.0, energy=0.0, energy_trace=(0.0,),
+            u=u, iterations=0, residual_sup=0.0, energy=0.0, energy_trace=(0.0,),
             converged=True, linear_iterations=(),
         )
-        phi = zero_boundary(sample(spec, gaussian((1.0,), 1.0, 0.6)))
+        phi = zero_boundary(sample(prob.spec, gaussian((1.0,), 1.0, 0.6)))
         rep = check_localized_identity(exact, prob, phi, alpha=1.2, t=0.3)
         assert rep.context["supp_contained"] is True
         defects.append(rep.lhs)
@@ -276,6 +270,18 @@ def test_identity_within_residual_bound_where_truncation_acts(m):
     rep = check_localized_identity(res, prob, phi, alpha, t)
     assert rep.passed
     assert rep.context["supp_contained"] is True
+
+
+def test_identity_within_residual_bound_in_2d(manufactured_case):
+    # |u| crosses alpha inside supp phi (in 3D at m = 17, u jumps between
+    # nodes by more than alpha - t - max|phi|, against the check's premise)
+    prob, _ = manufactured_case(3.0, GridSpec(2, 4.0, 65))
+    phi = zero_boundary(sample(prob.spec, gaussian((0.25, 0.0), 0.5, 0.6)))
+    res = solve(prob)
+    inside = np.abs(res.u.values[phi.values != 0.0])
+    assert inside.max() > 0.95 > inside.min()
+    rep = check_localized_identity(res, prob, phi, alpha=0.95, t=0.3)
+    assert rep.passed and rep.context["supp_contained"] is True
 
 
 @pytest.mark.parametrize("m", [65, 257])
@@ -305,16 +311,12 @@ def test_distributional_residual_linear_in_psi(small_case):
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
-def test_distributional_residual_manufactured_second_order():
+def test_distributional_residual_manufactured_second_order(manufactured_case):
     # the consistency error of the scheme's weak form at the exact solution
     vals = []
     for m in (129, 257, 513):
-        spec = GridSpec(1, 8.0, m)
-        V = sample(spec, lambda x: 1.0 + 0.0 * x)
-        f = sample(spec, manufactured_p2_datum)
-        prob = Problem(spec=spec, p=ExponentP(2.0, degenerate_ok=True), V=V, f=f)
-        u = zero_boundary(sample(spec, manufactured_p2_solution))
-        psi = zero_boundary(sample(spec, gaussian((0.0,), 1.0, 1.0)))
+        prob, u = manufactured_case(2.0, GridSpec(1, 8.0, m))
+        psi = zero_boundary(sample(prob.spec, gaussian((0.0,), 1.0, 1.0)))
         vals.append(distributional_residual(u, prob, psi))
     orders = [np.log2(a / b) for a, b in zip(vals, vals[1:])]
     assert min(orders) >= 1.9
@@ -454,29 +456,36 @@ def test_run_scheme_counts_hold_under_one_ulp_datum_perturbations():
         assert counts(nudged) == base
 
 
-def test_run_scheme_starts_past_a_non_convergent_level():
-    spec = GridSpec(1, 8.0, 129)
+@pytest.fixture(scope="module")
+def non_convergent_scheme():
+    """p = 4 on levels 1, 4, 8 with 12 Newton steps: level 4 does not converge."""
     cfg = SchemeConfig(
         k_list=(1.0, 4.0, 8.0), t_grid=(1.0,), R_grid=(4.0,), max_iters=12,
         tol_residual=1e-10,
     )
-    res = run_scheme(two_bump_datum(spec), standard_potential(), 4.0, cfg)
+    return run_scheme(two_bump_datum(GridSpec(1, 8.0, 129)), standard_potential(), 4.0, cfg)
+
+
+def test_run_scheme_starts_past_a_non_convergent_level(non_convergent_scheme):
+    res = non_convergent_scheme
     assert res.failed_k == (4.0,)
     assert res.started_from == {1.0: None, 4.0: 1.0, 8.0: 1.0}
 
 
-def test_run_scheme_flags_non_convergent_levels():
-    spec = GridSpec(1, 8.0, 129)
-    f = two_bump_datum(spec)
-    cfg = SchemeConfig(
-        k_list=(1.0, 4.0, 8.0), t_grid=(1.0,), R_grid=(4.0,), max_iters=12,
-        tol_residual=1e-10,
-    )
-    res = run_scheme(f, standard_potential(), 4.0, cfg)
+def test_run_scheme_flags_non_convergent_levels(non_convergent_scheme):
+    res = non_convergent_scheme
     assert res.failed_k
     for k in res.failed_k:
         assert all(r.context.get("k") != k and r.context.get("l") != k
                    for r in res.reports)
+
+
+def test_run_scheme_distance_to_reference_is_the_pairwise_entry(non_convergent_scheme):
+    res = non_convergent_scheme
+    rows = [(row["k"], row["lambda_dist_to_ref"]) for row in res.convergence["rows"]]
+    assert rows == [(1.0, res.pairwise_lambda[0, 2]), (8.0, 0.0)]
+    u_ref = res.solutions[8.0].u
+    assert rows == [(k, lambda_dist(res.solutions[k].u, u_ref, 4.0)) for k in (1.0, 8.0)]
 
 
 def test_duality_regime_levels_coincide():

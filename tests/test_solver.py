@@ -19,12 +19,7 @@ from pschrod.grid import (
     zero_boundary,
 )
 from pschrod.potentials import sample_potential, sparse_wells
-from pschrod.presets import (
-    manufactured_p2_datum,
-    manufactured_p2_solution,
-    standard_problem,
-    two_bump_datum,
-)
+from pschrod.presets import standard_problem, two_bump_datum
 from pschrod import solver
 from pschrod.solver import (
     MAX_ITERS,
@@ -219,53 +214,45 @@ def test_residual_sup_is_the_residual_of_the_returned_iterate(n, m, p, max_iters
     assert res.residual_sup == residual(res.u, prob).max_abs()
 
 
-def test_manufactured_p2_second_order():
-    errors = {}
-    for m in (129, 257, 513):
-        spec = GridSpec(1, 8.0, m)
-        V = sample(spec, lambda x: 1.0 + 0.0 * x)
-        f = sample(spec, manufactured_p2_datum)
-        prob = Problem(spec=spec, p=ExponentP(2.0, degenerate_ok=True), V=V, f=f)
-        res = solve(prob)
-        exact = zero_boundary(sample(spec, manufactured_p2_solution))
-        errors[m] = (res.u - exact).max_abs()
-    assert errors[129] / errors[257] >= 3.0
-    assert errors[257] / errors[513] >= 3.0
+def _sup_errors(manufactured_case, p, n, L, ms):
+    """Sup-norm error of the solve against the exact solution, one per m."""
+    return [(solve(prob).u - exact).max_abs()
+            for prob, exact in (manufactured_case(p, GridSpec(n, L, m)) for m in ms)]
 
 
-def manufactured_p4_datum(spec: GridSpec) -> GridFunction:
-    """p = 4 companion datum for the Gaussian profile, V = 1.
-
-    The flux ``|u'|^2 u'`` of the closed-form profile is differentiated
-    numerically on a ten times finer step, then
-    ``f = -(|u'|^2 u')' + |u|^2 u`` is sampled at the nodes.
-    """
-    x = spec.axis_coords()
-    dh = spec.h / 10
-
-    def flux(y):
-        du = -2.0 * y * np.exp(-(y**2))
-        return np.abs(du) ** 2 * du
-
-    dflux = (flux(x + dh) - flux(x - dh)) / (2.0 * dh)
-    u = manufactured_p2_solution(x)
-    return GridFunction(spec, -dflux + np.abs(u) ** 2 * u)
+def test_manufactured_p2_second_order(manufactured_case):
+    errors = _sup_errors(manufactured_case, 2.0, 1, 8.0, (129, 257, 513))
+    assert errors[0] / errors[1] >= 3.0
+    assert errors[1] / errors[2] >= 3.0
 
 
-def test_manufactured_p4_refinement():
-    errors = []
-    for m in (129, 257, 513):
-        spec = GridSpec(1, 8.0, m)
-        V = sample(spec, lambda x: 1.0 + 0.0 * x)
-        prob = Problem(
-            spec=spec, p=ExponentP(4.0, degenerate_ok=True), V=V,
-            f=manufactured_p4_datum(spec),
-        )
-        res = solve(prob)
-        exact = zero_boundary(sample(spec, manufactured_p2_solution))
-        errors.append((res.u - exact).max_abs())
+def test_manufactured_p4_refinement(manufactured_case):
+    errors = _sup_errors(manufactured_case, 4.0, 1, 8.0, (129, 257, 513))
     assert errors[0] > errors[1] > errors[2]
     assert errors[0] / errors[2] > 4.0
+
+
+@pytest.mark.parametrize("n, ms", [(2, (33, 65, 129)), (3, (9, 17, 33))])
+def test_manufactured_p2_second_order_nd(manufactured_case, n, ms):
+    errors = _sup_errors(manufactured_case, 2.0, n, 4.0, ms)
+    orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.9, orders
+
+
+# Sup errors and u_h(0) of the one-point cell gradient, whose hourglass
+# mode shows at the degenerate point r = 0 (at 3D m = 17, u_h(0) < 0 where
+# u(0) = 1).  A P1 gradient on the Kuhn triangulation is expected to move
+# these pins; a change that does reports them before and after.
+@pytest.mark.parametrize("n, ms, pins, origin", [
+    (2, (17, 33, 65), (0.355121088513, 0.0344985369498, 0.0105062269593), 0.989493773041),
+    (3, (9, 17), (1.05800681346, 1.16385016566), -0.163850165663),
+])
+def test_manufactured_p4_nd_pins(manufactured_case, n, ms, pins, origin):
+    for m, pin in zip(ms, pins):
+        prob, exact = manufactured_case(4.0, GridSpec(n, 4.0, m))
+        u = solve(prob).u
+        assert (u - exact).max_abs() == pytest.approx(pin, rel=1e-6)
+    assert u.values[u.spec.num_nodes // 2] == pytest.approx(origin, rel=1e-6)  # finest m
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
