@@ -15,7 +15,7 @@ finite-dimensional counterpart; they are documented here and not tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -134,10 +134,15 @@ def lambda_mass_rows(values: np.ndarray, weights: np.ndarray, p,
     taken from it; without ``out`` a new array is used.  The result has the
     same bits either way.
     """
+    return _clipped_power(values, p, out) @ weights
+
+
+def _clipped_power(values: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """``min(|x|, 1)^p`` entrywise, in ``out`` if given (it may be ``values``)."""
     p = _as_p(p)
     clipped = np.abs(values, out=out)
     np.minimum(clipped, 1.0, out=clipped)
-    return abs_power(clipped, p, out=clipped) @ weights
+    return abs_power(clipped, p, out=clipped)
 
 
 def lambda_fnorm_rows(values: np.ndarray, weights: np.ndarray, p,
@@ -202,11 +207,18 @@ def weak_lq_quasinorm(u: GridFunction, q) -> float:
     return float(np.max(candidates))
 
 
-def tail_lambda(u: GridFunction, R: float, p) -> float:
-    """Tail of the F-norm mass: ``integral_{|x| > R} min(|u|, 1)^p``."""
-    _require_radius(R)
-    mask = u.spec.radii() > R
-    return float(lambda_mass_rows(u.values[mask], u.spec.weights()[mask], p))
+def tail_lambda(u: GridFunction, radii: Sequence[float], p) -> list[float]:
+    """F-norm mass tails ``integral_{|x| > R} min(|u|, 1)^p``, one per R in ``radii``.
+
+    The power is taken once, over the nodes outside the smallest radius;
+    each tail has the bits of a power taken over its own nodes alone.
+    """
+    for R in radii:
+        _require_radius(R)
+    outside = u.spec.radii() > min(radii)
+    r, w = u.spec.radii()[outside], u.spec.weights()[outside]
+    q = _clipped_power(u.values[outside], p)
+    return [float(q[m] @ w[m]) for m in (r > R for R in radii)]
 
 
 def superlevel_measure(u: GridFunction, K: float) -> float:

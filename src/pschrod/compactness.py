@@ -195,7 +195,8 @@ def kr_report(
         )
         for s in shift_grid
     }
-    tails = {R: max(tail_lambda(f, R, p) for f in fam.members) for R in R_grid}
+    member_tails = [tail_lambda(f, R_grid, p) for f in fam.members]
+    tails = {R: max(col) for R, col in zip(R_grid, zip(*member_tails))}
     superlevels = {
         K: max(superlevel_measure(f, K) for f in fam.members) for K in K_grid
     }

@@ -16,7 +16,8 @@ The solver and every estimate check use G.  The nodal central-difference
 :func:`gradient`, an ``(m**n, n)`` array with one column per axis, serves
 only the ark bound's ``|grad f|`` in :mod:`pschrod.compactness`.
 Positive powers of grid data go through :func:`abs_power`, which keeps
-libm off its slow underflow path on decaying solutions.
+``pow`` off its slow paths (underflowing results, zero arguments) on
+decaying solutions.
 
 All types are immutable after construction.
 """
@@ -371,18 +372,21 @@ def abs_power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndar
     """``np.abs(x) ** e`` for ``e >= 0``, bit for bit, into ``out`` if given.
 
     Entries with ``|x| < 2**(-1076 / e)`` have a true power below
-    ``2**-1076``, which rounds to 0, so they are zeroed before the power
-    is taken: libm's ``pow`` spends about 30 times its normal time on a
-    result that underflows, and decaying solutions have many.  ``out`` may
-    be ``x`` itself.
+    ``2**-1076``, which rounds to 0, so they are zeroed and ``pow`` is not
+    called on them: a vectorized ``pow`` takes a slow path on a result
+    that underflows and on a zero argument, and decaying solutions have
+    many of both.  The exponents 0, 0.5, 1 and 2, which ``**`` computes
+    without ``pow``, take ``**`` on every entry.  ``out`` may be ``x`` itself.
     """
     if not e >= 0:
         raise ValueError(f"exponent must be nonnegative, got {e!r}")
     out = np.abs(x, out=out)
     if e > 0:
         np.copyto(out, 0.0, where=out < 2.0 ** (-1076.0 / e))
-    out **= e
-    return out
+    if e in (0.0, 0.5, 1.0, 2.0):
+        out **= e
+        return out
+    return np.power(out, e, out=out, where=out > 0.0)
 
 
 def row_blocks(rows: int, width: int) -> Iterator[slice]:

@@ -11,6 +11,9 @@ radius R and pair k < l:
 * stability            ``||T_t(u_k - u_l)||_X^p <= 2^(p-2) t ||f_k - f_l||_1``
 * superlevel bound     ``|{|u_k| > m}| <= m^(1-p) ||f||_1``
 
+The tail bound forms ``T_t(u_k)`` and its power ``min(|T_t(u_k)|, 1)^p``
+once per (k, t) and reads every radius of the R grid off them.
+
 The localized identity, an entropy-type identity with test perturbation
 ``T_t(T_a(u) - phi) - T_t(T_a(u))``, is not part of the scheme: the
 ``localized_identity`` suite of :mod:`pschrod.verify` checks it on three
@@ -32,7 +35,7 @@ import csv
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -142,24 +145,23 @@ def _require_tail_radius(R: float, spec: GridSpec) -> None:
 
 
 def check_tail_bound(
-    res: SolveResult, prob: Problem, V: Potential, t: float, R: float,
-    bad_measure: float, f_l1: float
-) -> EstimateReport:
-    """``tail(T_t u, R) <= |E_R| + t ||f||_1 / (kappa R^gamma)``.
+    res: SolveResult, prob: Problem, V: Potential, t: float, R_grid: Sequence[float],
+    bad_measures: Sequence[float], f_l1: float
+) -> list[EstimateReport]:
+    """``tail(T_t u, R) <= |E_R| + t ||f||_1 / (kappa R^gamma)``, one report per R, in order.
 
-    ``bad_measure`` is ``|E_R|`` of ``V`` on ``prob.spec``
-    (:func:`~pschrod.potentials.bad_set_measure`) and ``f_l1`` is
-    ``||f||_1`` of ``prob.f``; :func:`run_scheme` computes each once and
-    hands it to every check that needs it.
+    ``bad_measures`` holds ``|E_R|`` of ``V`` on ``prob.spec`` for each R in
+    ``R_grid`` (:func:`~pschrod.potentials.bad_set_measure`) and ``f_l1`` is
+    ``||f||_1`` of ``prob.f``; :func:`run_scheme` computes each once.
+    ``T_t u`` and its power are formed once for all radii.
     """
-    _require_tail_radius(R, prob.spec)
-    lhs = tail_lambda(truncate(res.u, t), R, prob.p)
-    rhs = bad_measure + t * f_l1 / (V.kappa * R**V.gamma)
-    return EstimateReport(
-        "tail_bound", lhs, rhs, REPORT_TOL,
-        _base_context(prob, t=t, R=R, kappa=V.kappa, gamma=V.gamma,
-                      bad_measure=bad_measure, f_l1=f_l1),
-    )
+    for R in R_grid:
+        _require_tail_radius(R, prob.spec)
+    tails = tail_lambda(truncate(res.u, t), R_grid, prob.p)
+    return [EstimateReport("tail_bound", lhs, bad + t * f_l1 / (V.kappa * R**V.gamma), REPORT_TOL,
+                           _base_context(prob, t=t, R=R, kappa=V.kappa, gamma=V.gamma,
+                                         bad_measure=bad, f_l1=f_l1))
+            for R, bad, lhs in zip(R_grid, bad_measures, tails, strict=True)]
 
 
 def check_stability(
@@ -362,14 +364,14 @@ def run_scheme(
     good = [k for k in cfg.k_list if k not in failed]
 
     f_l1 = integrate(f.abs())
-    bad = {R: bad_set_measure(V, f.spec, R, Vg=V_g) for R in cfg.R_grid}
+    bad = [bad_set_measure(V, f.spec, R, Vg=V_g) for R in cfg.R_grid]
     reports: list[EstimateReport] = []
     for k in good:
         res, prob = solutions[k], probs[k]
         fk_l1 = integrate(data[k].abs())
         for t in cfg.t_grid:
             level = [check_energy_estimate(res, prob, t, fk_l1)]
-            level += [check_tail_bound(res, prob, V, t, R, bad[R], fk_l1) for R in cfg.R_grid]
+            level += check_tail_bound(res, prob, V, t, cfg.R_grid, bad, fk_l1)
             level.append(check_superlevel_bound(res, prob, t, f_l1))
             for rep in level:
                 rep.context["k"] = k

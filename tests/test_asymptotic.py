@@ -260,14 +260,14 @@ def test_weak_norm_random_vs_brute(rng):
 def test_tail_zero_inside_support():
     spec = GridSpec(1, 4.0, 65)
     u = indicator(spec, -1.0, 1.0)
-    assert tail_lambda(u, 1.5, 2.0) == 0.0
+    assert tail_lambda(u, (1.5,), 2.0)[0] == 0.0
 
 
 def test_tail_monotone_in_radius(rng):
     spec = GridSpec(1, 4.0, 65)
     u = GridFunction(spec, rng.standard_normal(65))
     radii = np.linspace(0.0, 3.9, 14)
-    tails = [tail_lambda(u, R, 2.0) for R in radii]
+    tails = tail_lambda(u, radii, 2.0)
     assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
 
 

@@ -286,7 +286,7 @@ def test_integrate_nonnegative(rng):
 def test_annulus_empty_beyond_corner():
     spec = GridSpec(2, 1.0, 5)
     u = GridFunction(spec, np.ones(25))
-    assert tail_lambda(u, np.sqrt(2.0) * 1.0, 3.0) == 0.0
+    assert tail_lambda(u, (np.sqrt(2.0) * 1.0,), 3.0)[0] == 0.0
 
 
 def test_annulus_origin_complement():
@@ -296,19 +296,19 @@ def test_annulus_origin_complement():
     origin = int(np.flatnonzero(spec.radii() == 0.0)[0])
     origin_term = float(spec.weights()[origin] * u.values[origin] ** 3)
     whole = integrate(GridFunction(spec, u.values**3))
-    assert tail_lambda(u, 0.0, 3.0) + origin_term == pytest.approx(whole, rel=1e-14)
+    assert tail_lambda(u, (0.0,), 3.0)[0] + origin_term == pytest.approx(whole, rel=1e-14)
 
 
 def test_annulus_hand_value():
     # L=2, m=5, R=1: only x = +-2 survive, each with boundary weight h/2 = 0.5
     u = sample(GridSpec(1, 2.0, 5), lambda x: 1.0 + 0.0 * x)
-    assert tail_lambda(u, 1.0, 3.0) == pytest.approx(1.0, abs=1e-15)
+    assert tail_lambda(u, (1.0,), 3.0)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_annulus_rejects_negative_radius():
     u = sample(GridSpec(1, 1.0, 5), lambda x: x)
     with pytest.raises(ValueError):
-        tail_lambda(u, -0.5, 3.0)
+        tail_lambda(u, (-0.5,), 3.0)
 
 
 def test_zero_boundary():
@@ -362,13 +362,15 @@ def test_load_rejects_wrong_payload(tmp_path):
 
 def wide_range_data(rng, e):
     """Signed magnitudes log-uniform on [1e-330, 1e3] (those below 5e-324 are 0),
-    random subnormals, zeros of both signs and +-64 ulps around abs_power's cutoff."""
+    random subnormals, zeros of both signs and +-64 ulps around abs_power's cutoff,
+    then a run of 4,096 +0.0 and a block decaying from 1 through every cutoff to 0."""
     mags = 10.0 ** rng.uniform(-330.0, 3.0, 20000)
     subnormals = rng.integers(0, 2**52, 2000) * np.nextafter(0.0, 1.0)
     cutoff = 2.0 ** (-1076.0 / e) if e > 0 else 0.0
     near = np.maximum(np.float64(cutoff).view(np.int64) + np.arange(-64, 65), 0).view(np.float64)
     x = np.concatenate([mags, subnormals, near, [0.0, 1.0, 2.0**-1022, 5e-324]])
-    return x * rng.choice([-1.0, 1.0], x.size)
+    decay = 2.0 ** -np.linspace(0.0, 1080.0, 4096)
+    return np.concatenate([x * rng.choice([-1.0, 1.0], x.size), np.zeros(4096), decay])
 
 
 @pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0])

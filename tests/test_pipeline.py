@@ -19,7 +19,7 @@ from pschrod.pipeline import (
     save_scheme_result,
     truncation_perturbation,
 )
-from pschrod.potentials import bad_set_measure, polynomial_trap, sample_potential
+from pschrod.potentials import bad_set_measure, polynomial_trap, sample_potential, sparse_wells
 from pschrod.presets import (
     gaussian,
     identity_case,
@@ -135,7 +135,7 @@ def test_energy_estimate_3d_in_solver_norm():
 def _tail_bound(res, prob, pot, t, R):
     """:func:`check_tail_bound` with |E_R| and ||f||_1 measured as run_scheme does."""
     bad = bad_set_measure(pot, prob.spec, R, Vg=prob.V)
-    return check_tail_bound(res, prob, pot, t, R, bad, integrate(prob.f.abs()))
+    return check_tail_bound(res, prob, pot, t, (R,), (bad,), integrate(prob.f.abs()))[0]
 
 
 def test_tail_bound_trap_formula(small_case):
@@ -167,7 +167,7 @@ def test_tail_bound_zero_for_compact_support(small_case):
 def test_tail_bound_rejects_outside_radius(small_case):
     prob, pot, res = small_case
     with pytest.raises(ValueError):
-        check_tail_bound(res, prob, pot, t=1.0, R=9.0, bad_measure=0.0, f_l1=1.0)
+        check_tail_bound(res, prob, pot, t=1.0, R_grid=(9.0,), bad_measures=(0.0,), f_l1=1.0)
 
 
 def test_stability_identical_data_is_exact_zero(small_case):
@@ -454,6 +454,33 @@ def test_run_scheme_counts_hold_under_one_ulp_datum_perturbations():
         nudged = np.where(f.values == 0.0, 0.0, np.nextafter(f.values, direction))
         assert not np.array_equal(nudged, f.values)
         assert counts(nudged) == base
+
+
+def test_run_scheme_tails_share_one_power_per_truncation():
+    # sparse wells, where |E_R| > 0: each (k, t) gives [energy, tails by R,
+    # superlevel], and every tail has the bits of its own plain-numpy power.
+    # h = 1/8 puts every R on a node, so the strict |x| > R shows
+    spec = GridSpec(1, 40.0, 641)
+    cfg = SchemeConfig(k_list=(1.0, 4.0, 16.0), t_grid=(0.1, 1.0, 5.0),
+                       R_grid=(2.0, 4.0, 6.0, 12.0, 24.0))
+    res = run_scheme(two_bump_datum(spec), sparse_wells(2.0), 3.0, cfg)
+    assert not res.failed_k
+    w, r = spec.weights(), spec.radii()
+    block = 2 + len(cfg.R_grid)
+    levels = [(k, t) for k in cfg.k_list for t in cfg.t_grid]
+    for i, (k, t) in enumerate(levels):
+        reps = res.reports[i * block:(i + 1) * block]
+        assert [rep.name for rep in reps] == \
+            ["energy_estimate"] + ["tail_bound"] * len(cfg.R_grid) + ["superlevel_bound"]
+        assert all(rep.context["k"] == k for rep in reps)
+        assert [rep.context["t"] for rep in reps[:-1]] + [reps[-1].context["m"]] == [t] * block
+        assert tuple(rep.context["R"] for rep in reps[1:-1]) == cfg.R_grid
+        u = res.solutions[k].u.values
+        for rep in reps[1:-1]:
+            m = r > rep.context["R"]
+            assert rep.lhs == float(np.minimum(np.abs(np.clip(u, -t, t))[m], 1.0) ** 3.0 @ w[m])
+    assert res.reports[len(levels) * block].name == "stability"
+    assert max(rep.context["bad_measure"] for rep in res.reports if rep.name == "tail_bound") > 0.0
 
 
 @pytest.fixture(scope="module")

@@ -253,7 +253,7 @@ _TINY = GridSpec(1, 8.0, 3)
     [
         lambda R: bad_set_measure(sparse_wells(WELLS_GAMMA), _TINY, R),
         lambda R: bad_set_measure_mc(sparse_wells(WELLS_GAMMA), _TINY, R, seed=1),
-        lambda R: tail_lambda(GridFunction(_TINY, np.ones(3)), R, 3.0),
+        lambda R: tail_lambda(GridFunction(_TINY, np.ones(3)), (R,), 3.0),
     ],
     ids=["bad_set_measure", "bad_set_measure_mc", "tail_lambda"],
 )
