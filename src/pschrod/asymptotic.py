@@ -192,13 +192,17 @@ def weak_lq_quasinorm(u: GridFunction, q) -> float:
     ``v * measure{|u| >= v}^(1/q)``.  The sup is evaluated exactly over
     that finite set; no lambda grid is involved.
     """
+    return _weak_lq(u.values, u.spec.weights(), q)
+
+
+def _weak_lq(values: np.ndarray, weights: np.ndarray, q) -> float:
+    """Weak-Lq quasi-norm of samples ``values`` carrying measures ``weights``."""
     q = _as_p(q)
-    absvals = np.abs(u.values)
-    w = u.spec.weights()
+    absvals = np.abs(values)
     order = np.argsort(absvals)
     sorted_vals = absvals[order]
     # weight of {|u| >= v}: suffix sums over the sorted samples
-    suffix = np.cumsum(w[order][::-1])[::-1]
+    suffix = np.cumsum(weights[order][::-1])[::-1]
     vals, first_idx = np.unique(sorted_vals, return_index=True)
     nz = vals > 0
     if not np.any(nz):

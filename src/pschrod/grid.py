@@ -1,4 +1,4 @@
-"""Uniform tensor grids on a box, with quadrature, gradients and file I/O.
+"""Uniform tensor grids on a box, with quadrature, the cell gradient and file I/O.
 
 The whole package computes on ``[-L, L]^n`` (n = 1, 2, 3) discretized by
 ``m`` equally spaced nodes per axis.  A :class:`GridFunction` is a flat
@@ -12,9 +12,8 @@ The cell-centred gradient is defined once, by the stencil table
 :func:`cell_stencil`; G v (:func:`cell_gradient_squared`), G^T w
 (:func:`cell_gradient_adjoint`) and the solver's Hessian fill read it, no
 matrix of G is stored, and :func:`energy_sums` gives the X-norm sums.
-The solver and every estimate check use G.  The nodal central-difference
-:func:`gradient`, an ``(m**n, n)`` array with one column per axis, serves
-only the ark bound's ``|grad f|`` in :mod:`pschrod.compactness`.
+The solver and every estimate check use G; :func:`gradient` is G of a
+:class:`GridFunction`, one row per cell.
 Positive powers of grid data go through :func:`abs_power`, which keeps
 ``pow`` off its slow paths (underflowing results, zero arguments) on
 decaying solutions.
@@ -258,20 +257,6 @@ def sample(spec: GridSpec, field: Callable) -> GridFunction:
     return GridFunction(spec, out)
 
 
-def gradient(u: GridFunction) -> np.ndarray:
-    """Nodal gradient: central differences inside, one-sided at the boundary.
-
-    A read-only ``(m**n, n)`` array; column ``a`` is the derivative along
-    axis ``a``.  Exact for affine functions, including boundary nodes.
-    """
-    comps = np.gradient(u.reshaped(), u.spec.h, edge_order=1)
-    if u.spec.n == 1:
-        comps = [comps]
-    g = np.stack([c.ravel() for c in comps], axis=-1)
-    g.flags.writeable = False
-    return g
-
-
 @lru_cache(maxsize=32)
 def cell_stencil(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The cell gradient as one table: ``(steps, coeffs)``.
@@ -351,6 +336,20 @@ def cell_gradient_adjoint(w: np.ndarray, spec: GridSpec) -> np.ndarray:
             acc = out[offsets[k]:offsets[k] + size]
             (np.add if steps[a, k] else np.subtract)(acc, q, out=acc)
     return out
+
+
+def gradient(u: GridFunction) -> np.ndarray:
+    """The cell gradient ``G u`` of a grid function, one row per cell.
+
+    A read-only ``(cells, n)`` array, cells row-major; column ``a`` is
+    component ``a`` of :func:`cell_gradient_squared`.  This is the
+    :class:`GridFunction` entry to G.  The benchmark's tracer times it by
+    this name, so folding it into :func:`cell_gradient_squared` waits for
+    the next change to the tracer.
+    """
+    g = cell_gradient_squared(u.values, u.spec)[0].T
+    g.flags.writeable = False
+    return g
 
 
 def energy_sums(v: np.ndarray, V: np.ndarray, spec: GridSpec, p: float,

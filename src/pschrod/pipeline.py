@@ -364,7 +364,7 @@ def run_scheme(
     good = [k for k in cfg.k_list if k not in failed]
 
     f_l1 = integrate(f.abs())
-    bad = [bad_set_measure(V, f.spec, R, Vg=V_g) for R in cfg.R_grid]
+    bad = bad_set_measure(V, f.spec, cfg.R_grid, Vg=V_g)
     reports: list[EstimateReport] = []
     for k in good:
         res, prob = solutions[k], probs[k]

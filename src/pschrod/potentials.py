@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -159,14 +159,17 @@ def _in_bad_set(V: Potential, r, values, R: float):
     return (r >= R) & (values < V.kappa * r**V.gamma)
 
 
-def bad_set_measure(V: Potential, spec: GridSpec, R: float,
-                    Vg: GridFunction | None = None) -> float:
-    """Quadrature measure of ``{|x| >= R, V(x) < kappa |x|^gamma}`` on the grid."""
-    _require_radius(R)
+def bad_set_measure(V: Potential, spec: GridSpec, R_grid: Sequence[float],
+                    Vg: GridFunction | None = None) -> list[float]:
+    """Quadrature measure of ``{|x| >= R, V(x) < kappa |x|^gamma}`` for each R in ``R_grid``,
+    each from one mask of the whole bad set, with the bits of a mask formed for R alone."""
+    for R in R_grid:
+        _require_radius(R)
     if Vg is None:
         Vg = sample_potential(V, spec)
-    mask = _in_bad_set(V, spec.radii(), Vg.values, R)
-    return float(np.sum(spec.weights()[mask]))
+    r, w = spec.radii(), spec.weights()
+    below = _in_bad_set(V, r, Vg.values, 0.0)
+    return [float(np.sum(w[below & (r >= R)])) for R in R_grid]
 
 
 def bad_set_measure_mc(V: Potential, spec: GridSpec, R: float, *,
@@ -232,16 +235,13 @@ def confinement_report(V: Potential, spec: GridSpec,
     if R_grid[-1] >= spec.L * math.sqrt(spec.n):
         raise ValueError("largest radius must lie inside the box")
 
-    # E_0, formed once: each E_R is its part with |x| >= R
-    r, w = spec.radii(), spec.weights()
-    below = _in_bad_set(V, r, sample_potential(V, spec).values, 0.0)
-    bad = tuple(float(np.sum(w[below & (r >= R)])) for R in R_grid)
-    total = float(np.sum(w[below]))
+    Vg = sample_potential(V, spec)
+    total, *bad = bad_set_measure(V, spec, [0.0, *R_grid], Vg)
     R0 = R_grid[-1]
 
     witness, _ = _witness_from_wells(V, spec, R0)
     if witness is None and not V.well_centers:
-        idx = np.flatnonzero(below & (r >= R0))
+        idx = np.flatnonzero(_in_bad_set(V, spec.radii(), Vg.values, R0))
         if idx.size:
             witness = tuple(float(x) for x in spec.node_coords()[int(idx[0])])
 
@@ -252,7 +252,7 @@ def confinement_report(V: Potential, spec: GridSpec,
 
     return ConfinementReport(
         R_grid=tuple(R_grid),
-        bad_measures=bad,
+        bad_measures=tuple(bad),
         total_bad_measure=total,
         classically_confining=witness is None,
         violation_witness=witness,

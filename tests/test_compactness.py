@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pschrod.asymptotic import lambda_dist, truncate
+from pschrod.asymptotic import lambda_dist, lp_norm, truncate, x_norm_p
 from pschrod.compactness import (
     DECAYING,
     NOT_OBSERVED,
@@ -13,7 +13,9 @@ from pschrod.compactness import (
     translation_defect,
 )
 from pschrod.grid import GridFunction, GridSpec, integrate, sample
-from pschrod.presets import gaussian, small_scheme, translating_bumps, two_bump_datum
+from pschrod.potentials import sample_potential
+from pschrod.presets import (gaussian, small_scheme, standard_potential, translating_bumps,
+                             two_bump_datum)
 
 
 def test_shift_lattice_snaps_and_rejects():
@@ -150,7 +152,22 @@ def test_ark_solution_family_bound_and_crosscheck(solution_family):
     # both norm pieces are controlled by (t ||f||_1)^(1/p)
     predicted = 2.0 * (t * integrate(f.abs())) ** 0.5
     assert rep.ark_bound <= predicted * 1.05
+    # with V >= 1 each piece is at most ||f||_X, the second by Chebyshev's inequality
+    V = sample_potential(standard_potential(), fam.spec)
+    assert rep.ark_bound <= 2.0 * max(x_norm_p(f, V, 2.0) ** 0.5 for f in fam.members) * (1 + 1e-12)
     assert all(v == DECAYING for v in rep.verdicts.values())
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_ark_gradient_quasinorm_of_a_hat(a):
+    # a hat of height 1 on [-a, a]: |G f| = 1/a on the 2a/h cells of [-a, a],
+    # so the weak-Lq quasinorm over the cell measure is (1/a) (2a)^(1/q)
+    spec = GridSpec(1, 4.0, 33)
+    f = sample(spec, lambda x: np.maximum(1.0 - np.abs(x) / a, 0.0))
+    p, q = 2.0, 3.0
+    rep = ark_check(FunctionFamily((f,)), p, q=q)
+    assert rep.ark_bound - lp_norm(f, p) == pytest.approx((1.0 / a) * (2.0 * a) ** (1.0 / q),
+                                                         rel=1e-14)
 
 
 def test_ark_translates_tail_hypothesis_fails(translating_family):

@@ -123,31 +123,16 @@ def test_sample_raises_a_broken_fields_own_error_unchained():
     assert info.value.__cause__ is None
 
 
-def test_gradient_constant_is_zero():
-    u = sample(GridSpec(1, 2.0, 9), lambda x: 7.0 + 0.0 * x)
-    assert np.array_equal(gradient(u)[:, 0], np.zeros(9))
-
-
-def test_gradient_affine_exact_everywhere():
-    u = sample(GridSpec(1, 2.0, 9), lambda x: 3.0 * x)
-    assert np.allclose(gradient(u)[:, 0], 3.0, rtol=0, atol=1e-13)
-    v = sample(GridSpec(2, 1.0, 7), lambda x, y: 2.0 * x - 5.0 * y + 1.0)
-    g = gradient(v)
-    assert np.allclose(g[:, 0], 2.0, rtol=0, atol=1e-12)
-    assert np.allclose(g[:, 1], -5.0, rtol=0, atol=1e-12)
-
-
-def test_gradient_is_read_only_node_by_axis_array():
-    g = gradient(sample(GridSpec(3, 1.0, 5), lambda x, y, z: x * y + z))
-    assert g.shape == (125, 3)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gradient_is_the_cell_gradient(n, rng, kronecker_gradient):
+    spec = GridSpec(n, 1.5, 7)
+    u = GridFunction(spec, rng.standard_normal(spec.num_nodes))
+    g = gradient(u)
+    cells = (spec.m - 1) ** n
+    assert g.shape == (cells, n)
+    assert np.array_equal(g, (kronecker_gradient(spec) @ u.values).reshape(n, cells).T)
     with pytest.raises(ValueError):
         g[0, 0] = 1.0
-
-
-def test_gradient_quadratic_interior():
-    u = sample(GridSpec(1, 1.0, 5), lambda x: x**2)
-    # central differences at x = -0.5, 0, 0.5 with h = 0.5
-    assert np.allclose(gradient(u)[1:4, 0], [-1.0, 0.0, 1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

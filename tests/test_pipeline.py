@@ -134,8 +134,8 @@ def test_energy_estimate_3d_in_solver_norm():
 
 def _tail_bound(res, prob, pot, t, R):
     """:func:`check_tail_bound` with |E_R| and ||f||_1 measured as run_scheme does."""
-    bad = bad_set_measure(pot, prob.spec, R, Vg=prob.V)
-    return check_tail_bound(res, prob, pot, t, (R,), (bad,), integrate(prob.f.abs()))[0]
+    bad = bad_set_measure(pot, prob.spec, (R,), Vg=prob.V)
+    return check_tail_bound(res, prob, pot, t, (R,), bad, integrate(prob.f.abs()))[0]
 
 
 def test_tail_bound_trap_formula(small_case):

@@ -46,7 +46,7 @@ def test_trap_has_empty_bad_sets():
     trap = polynomial_trap(gamma=2.0)
     spec = GridSpec(1, 10.0, 2001)
     for R in (0.0, 1.0, 3.0, 7.5):
-        assert bad_set_measure(trap, spec, R) == 0.0
+        assert bad_set_measure(trap, spec, (R,)) == [0.0]
 
 
 def test_wells_pointwise_values():
@@ -116,13 +116,13 @@ def test_wells_evaluator_matches_brute_force_left_of_first_well(rng):
 
 def test_wells_total_measure_infinite_series(fine_wells_grid):
     wells = sparse_wells(gamma=WELLS_GAMMA)
-    total = bad_set_measure(wells, fine_wells_grid, 0.0)
+    total = bad_set_measure(wells, fine_wells_grid, (0.0,))[0]
     assert total == pytest.approx(2.0 / 3.0, rel=0.02)
 
 
 def test_wells_tail_measure_one_sixth(fine_wells_grid):
     wells = sparse_wells(gamma=WELLS_GAMMA)
-    e3 = bad_set_measure(wells, fine_wells_grid, 3.0)
+    e3 = bad_set_measure(wells, fine_wells_grid, (3.0,))[0]
     assert e3 == pytest.approx(1.0 / 6.0, rel=0.02)
 
 
@@ -131,16 +131,13 @@ def test_wells_in_small_box_hand_enumeration():
     spec = GridSpec(1, 10.0, 81921)
     wells = sparse_wells(gamma=WELLS_GAMMA)
     expected = 2.0 * (1.0 / 4.0 + 1.0 / 16.0 + 1.0 / 64.0)
-    assert bad_set_measure(wells, spec, 0.0) == pytest.approx(expected, rel=0.02)
+    assert bad_set_measure(wells, spec, (0.0,))[0] == pytest.approx(expected, rel=0.02)
 
 
 def test_bad_measure_nonincreasing(fine_wells_grid):
     wells = sparse_wells(gamma=WELLS_GAMMA)
     Vg = sample_potential(wells, fine_wells_grid)
-    measures = [
-        bad_set_measure(wells, fine_wells_grid, R, Vg=Vg)
-        for R in (0.0, 1.0, 3.0, 5.0, 9.0, 17.0)
-    ]
+    measures = bad_set_measure(wells, fine_wells_grid, (0.0, 1.0, 3.0, 5.0, 9.0, 17.0), Vg=Vg)
     assert all(b <= a for a, b in zip(measures, measures[1:]))
 
 
@@ -193,7 +190,7 @@ def test_confinement_report_validation(fine_wells_grid):
 def test_monte_carlo_cross_check():
     spec = GridSpec(1, 40.0, 327681)
     wells = sparse_wells(gamma=WELLS_GAMMA)
-    quad = bad_set_measure(wells, spec, 3.0)
+    quad = bad_set_measure(wells, spec, (3.0,))[0]
     mc = bad_set_measure_mc(wells, spec, 3.0, samples=2_000_000, seed=11)
     assert mc == pytest.approx(quad, rel=0.1)
     assert bad_set_measure_mc(wells, spec, 3.0, samples=10_000, seed=5) == \
@@ -251,7 +248,7 @@ _TINY = GridSpec(1, 8.0, 3)
 @pytest.mark.parametrize(
     "measure",
     [
-        lambda R: bad_set_measure(sparse_wells(WELLS_GAMMA), _TINY, R),
+        lambda R: bad_set_measure(sparse_wells(WELLS_GAMMA), _TINY, (R,)),
         lambda R: bad_set_measure_mc(sparse_wells(WELLS_GAMMA), _TINY, R, seed=1),
         lambda R: tail_lambda(GridFunction(_TINY, np.ones(3)), (R,), 3.0),
     ],
